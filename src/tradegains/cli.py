@@ -9,6 +9,7 @@ round-trip-exact shortest decimals, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tradegains", description="Gains-from-trade analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

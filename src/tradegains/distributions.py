@@ -239,10 +239,14 @@ class DiscreteDistribution(Distribution):
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
     def negate(self) -> "DiscreteDistribution":
-        return DiscreteDistribution(
+        neg = DiscreteDistribution(
             values=tuple(-v for v in reversed(self.values)),
             probs=tuple(reversed(self.probs)),
         )
+        # built from complements, not re-summed, so that neg.cdf(-p) equals
+        # self.survival(p) bit for bit: seller sides are solved on negations
+        neg.__dict__["cum"] = tuple(1.0 - c for c in reversed(self.cum[:-1])) + (1.0,)
+        return neg
 
     def to_json(self) -> dict:
         return {

@@ -24,6 +24,7 @@ best-response optimality of the equilibrium prices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ from .mechanism import (
     buyer_best_response,
     buyer_response_breakpoints,
     equilibrium,
-    role_swap,
 )
 
 #: Slack tolerance for the proven identities/inequalities, relative to
@@ -236,13 +236,10 @@ def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDec
     """Expectation of every decomposition field over the buyer prior."""
     lam = _check_lambda(lam)
     buyer, seller = instance.buyer, instance.seller
-    cache: dict[float, Decomposition] = {}
 
+    @functools.cache
     def dec(v: float) -> Decomposition:
-        d = cache.get(v)
-        if d is None:
-            d = cache[v] = decompose_fixed_v(v, seller, lam)
-        return d
+        return decompose_fixed_v(v, seller, lam)
 
     breaks = _decomposition_breakpoints(seller, lam) + buyer_response_breakpoints(seller)
     fields = ("fb_v", "area_S", "area_B", "area_A", "u_S_geom", "u_B_dev", "u_B_opt")
@@ -273,8 +270,9 @@ class BoundReport:
     * ``identity``         -- ``E[u_S_geom] + E[area_A] - (1 - lambda) * fb``
     * ``area_log``         -- ``u_buyer * ln(1/lambda) - E[area_A]``
     * ``avg``              -- ``u_seller + u_buyer * ln(1/lambda) - (1 - lambda) * fb``
-    * ``avg_swap``         -- the same bound evaluated on the role-swapped
-      instance, i.e. ``u_buyer + u_seller * ln(1/lambda) - (1 - lambda) * fb``
+    * ``avg_swap``         -- the same bound on the role-swapped instance,
+      ``u_buyer + u_seller * ln(1/lambda) - (1 - lambda) * fb``, taken from this
+      equilibrium, whose seller side is the swapped instance's buyer side
     * ``gft_floor``        -- ``gft - (1 - lambda) * fb / (1 + ln(1/lambda))``
     * ``buyer_scale_min``  -- min over probed v of ``u_B_dev - lambda * area_B``
     * ``seller_scale_min`` -- min over probed v of ``u_S_geom - (1 - lambda) * area_S``
@@ -315,19 +313,13 @@ def verify_bounds(instance: TradeInstance, lam: float) -> BoundReport:
     eq = equilibrium(instance)
     log_term = math.log(1.0 / lam)
 
-    cache: dict[float, Decomposition] = {}
-
+    @functools.cache
     def dec(v: float) -> Decomposition:
-        d = cache.get(v)
-        if d is None:
-            d = cache[v] = decompose_fixed_v(v, seller, lam)
-        return d
+        return decompose_fixed_v(v, seller, lam)
 
     breaks = _decomposition_breakpoints(seller, lam)
     mean_area_a = expect(buyer, lambda v: dec(v).area_A, breaks)
     mean_u_s_geom = expect(buyer, lambda v: dec(v).u_S_geom, breaks)
-
-    eq_swapped = equilibrium(role_swap(instance))
 
     buyer_scale_min = math.inf
     seller_scale_min = math.inf
@@ -340,11 +332,7 @@ def verify_bounds(instance: TradeInstance, lam: float) -> BoundReport:
         "identity": mean_u_s_geom + mean_area_a - (1.0 - lam) * eq.fb,
         "area_log": eq.u_buyer * log_term - mean_area_a,
         "avg": eq.u_seller + eq.u_buyer * log_term - (1.0 - lam) * eq.fb,
-        "avg_swap": (
-            eq_swapped.u_seller
-            + eq_swapped.u_buyer * log_term
-            - (1.0 - lam) * eq_swapped.fb
-        ),
+        "avg_swap": eq.u_buyer + eq.u_seller * log_term - (1.0 - lam) * eq.fb,
         "gft_floor": eq.gft - (1.0 - lam) * eq.fb / (1.0 + log_term),
         "buyer_scale_min": buyer_scale_min,
         "seller_scale_min": seller_scale_min,

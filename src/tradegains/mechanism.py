@@ -10,11 +10,18 @@ best-response equilibrium of that game exactly:
 * outer expectations over a piecewise-linear prior are taken with
   Gauss-Legendre quadrature after splitting the quantile domain at every
   point where the best-response formula can switch.
+
+Only the buyer's side is implemented: a seller of cost ``c`` proposing
+against buyer prior ``F`` is a buyer of value ``-c`` proposing against the
+negated prior, which keeps the surplus ``v - c`` and maps her larger-price
+tie-break onto his smaller-price one. So the seller side is the buyer side
+of :func:`role_swap` of the instance, with prices negated back.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,29 +117,6 @@ def _buyer_candidate_prices(seller: Distribution, v: float) -> list[float]:
     return prices
 
 
-def _seller_candidate_prices(buyer: Distribution, c: float) -> list[float]:
-    prices: list[float] = []
-    if isinstance(buyer, DiscreteDistribution):
-        i = bisect.bisect_left(buyer.values, c)
-        prices.extend(buyer.values[i:])
-        return prices
-    qs, vals = buyer.qs, buyer.vals
-    for k in range(len(qs) - 1):
-        ya, yb = vals[k], vals[k + 1]
-        if yb < c:
-            continue
-        if ya >= c:
-            prices.append(ya)
-        if ya == yb:
-            continue
-        prices.append(yb)
-        slope = (qs[k + 1] - qs[k]) / (yb - ya)
-        r = (1.0 - (qs[k] - slope * ya)) / slope
-        if 2.0 * ya - r <= c <= 2.0 * yb - r:
-            prices.append(0.5 * (c + r))
-    return prices
-
-
 def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
     """Price maximizing ``(v - p) * Pr[cost <= p]`` for a buyer of value ``v``.
 
@@ -158,23 +142,12 @@ def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
 def seller_best_response(c: float, buyer: Distribution) -> BestResponse:
     """Price maximizing ``(p - c) * Pr[value >= p]`` for a seller of cost ``c``.
 
-    The survival probability is evaluated left-continuously, so a buyer
-    atom exactly at the price accepts. Ties are broken toward the larger
-    trade probability, then the larger price.
+    Solved as a buyer of value ``-c`` against the negated prior, whose CDF at
+    ``-p`` is the survival at ``p`` (a buyer atom at the price accepts). Ties
+    go to the larger trade probability, then the larger price.
     """
-    c = float(c)
-    best_key = None
-    best = None
-    for p in _seller_candidate_prices(buyer, c):
-        s = buyer.survival(p)
-        u = (p - c) * s
-        key = (u, s, p)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = BestResponse(price=p, utility=u, trade_prob=s)
-    if best is None:
-        return BestResponse(price=c, utility=0.0, trade_prob=0.0)
-    return best
+    r = buyer_best_response(-float(c), buyer.negate())
+    return BestResponse(price=-r.price, utility=r.utility, trade_prob=r.trade_prob)
 
 
 # --------------------------------------------------------------------------
@@ -237,26 +210,7 @@ def buyer_response_breakpoints(seller: Distribution) -> list[float]:
 
 def seller_response_breakpoints(buyer: Distribution) -> list[float]:
     """Seller costs where the seller's best-response formula may switch."""
-    curves: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
-    bounds: set[float] = set()
-    for p0 in buyer.knot_values():
-        s0 = buyer.survival(p0)
-        curves.append((0.0, -s0, p0 * s0))
-        bounds.add(p0)
-    if isinstance(buyer, PiecewiseLinearDistribution):
-        qs, vals = buyer.qs, buyer.vals
-        for k in range(len(qs) - 1):
-            ya, yb = vals[k], vals[k + 1]
-            if ya == yb:
-                continue
-            slope = (qs[k + 1] - qs[k]) / (yb - ya)
-            icpt = qs[k] - slope * ya
-            r = (1.0 - icpt) / slope
-            curves.append((0.25 * slope, -0.5 * (1.0 - icpt), 0.25 * (1.0 - icpt) ** 2 / slope))
-            bounds.add(2.0 * ya - r)
-            bounds.add(2.0 * yb - r)
-    bounds.update(_crossings(curves))
-    return sorted(b for b in bounds if math.isfinite(b))
+    return [-w for w in reversed(buyer_response_breakpoints(buyer.negate()))]
 
 
 # --------------------------------------------------------------------------
@@ -282,13 +236,10 @@ def first_best(instance: TradeInstance) -> float:
 
 def _buyer_proposer_side(buyer: Distribution, seller: Distribution) -> tuple[float, float]:
     """(expected proposer utility, expected GFT) when the buyer proposes."""
-    cache: dict[float, BestResponse] = {}
 
+    @functools.cache
     def br(v: float) -> BestResponse:
-        r = cache.get(v)
-        if r is None:
-            r = cache[v] = buyer_best_response(v, seller)
-        return r
+        return buyer_best_response(v, seller)
 
     def gft_cond(v: float) -> float:
         x = seller.cdf(br(v).price)
@@ -302,29 +253,6 @@ def _buyer_proposer_side(buyer: Distribution, seller: Distribution) -> tuple[flo
     return u, gft
 
 
-def _seller_proposer_side(buyer: Distribution, seller: Distribution) -> tuple[float, float]:
-    """(expected proposer utility, expected GFT) when the seller proposes."""
-    cache: dict[float, BestResponse] = {}
-
-    def br(c: float) -> BestResponse:
-        r = cache.get(c)
-        if r is None:
-            r = cache[c] = seller_best_response(c, buyer)
-        return r
-
-    def gft_cond(c: float) -> float:
-        p = br(c).price
-        cl = buyer.cdf_left(p)
-        if cl >= 1.0:
-            return 0.0
-        return buyer.integrate_quantile(cl, 1.0) - c * (1.0 - cl)
-
-    breaks = seller_response_breakpoints(buyer)
-    u = expect(seller, lambda c: br(c).utility, breaks)
-    gft = expect(seller, gft_cond, breaks)
-    return u, gft
-
-
 def equilibrium(instance: TradeInstance) -> EquilibriumReport:
     """Canonical best-response equilibrium of the random proposer mechanism.
 
@@ -332,8 +260,9 @@ def equilibrium(instance: TradeInstance) -> EquilibriumReport:
     accepts at indifference; the two proposer roles are averaged with equal
     weight.
     """
+    swapped = role_swap(instance)
     u_b, gft_b = _buyer_proposer_side(instance.buyer, instance.seller)
-    u_s, gft_s = _seller_proposer_side(instance.buyer, instance.seller)
+    u_s, gft_s = _buyer_proposer_side(swapped.buyer, swapped.seller)
     return EquilibriumReport(
         u_buyer=u_b,
         u_seller=u_s,

@@ -118,33 +118,7 @@ def _buyer_prices(values: np.ndarray, seller: Distribution) -> np.ndarray:
 
 
 def _seller_prices(costs: np.ndarray, buyer: Distribution) -> np.ndarray:
-    price_cols: list[np.ndarray] = []
-    valid_cols: list[np.ndarray] = []
-    n = costs.size
-    for p0 in buyer.knot_values():
-        price_cols.append(np.full(n, p0))
-        valid_cols.append(p0 >= costs)
-    if isinstance(buyer, PiecewiseLinearDistribution):
-        qs, vals = buyer.qs, buyer.vals
-        for k in range(len(qs) - 1):
-            ya, yb = vals[k], vals[k + 1]
-            if ya == yb:
-                continue
-            slope = (qs[k + 1] - qs[k]) / (yb - ya)
-            r = (1.0 - (qs[k] - slope * ya)) / slope
-            price_cols.append(0.5 * (costs + r))
-            valid_cols.append((2.0 * ya - r <= costs) & (costs <= 2.0 * yb - r))
-    prices = np.stack(price_cols, axis=1)
-    valid = np.stack(valid_cols, axis=1)
-    trade = buyer.survival_many(prices.ravel()).reshape(prices.shape)
-    utility = np.where(valid, (prices - costs[:, None]) * trade, -np.inf)
-    best_u = utility.max(axis=1)
-    tie_u = utility == best_u[:, None]
-    trade_masked = np.where(tie_u, trade, -np.inf)
-    best_t = trade_masked.max(axis=1)
-    price_masked = np.where(tie_u & (trade == best_t[:, None]), prices, -np.inf)
-    best = price_masked.max(axis=1)
-    return np.where(np.isfinite(best_u), best, costs)
+    return -_buyer_prices(-costs, buyer.negate())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tradegains import DiscreteDistribution, TradeInstance
+from tradegains import DiscreteDistribution, PiecewiseLinearDistribution, TradeInstance
 
 # keep property-test runs reproducible across invocations
 settings.register_profile("deterministic", derandomize=True)
@@ -19,6 +19,13 @@ def random_discrete(rng, max_atoms=8, lo=0.0, hi=1.0):
     values = np.unique(rng.uniform(lo, hi, n))
     probs = rng.dirichlet(np.ones(len(values)))
     return DiscreteDistribution.from_atoms(zip(values.tolist(), probs.tolist()))
+
+
+def random_pwl(rng, knots):
+    """Quantile knots evenly spaced in q with sorted uniform values."""
+    return PiecewiseLinearDistribution.from_knots(
+        zip(np.linspace(0.0, 1.0, knots).tolist(), np.sort(rng.uniform(0.0, 1.0, knots)).tolist())
+    )
 
 
 def random_discrete_instance(seed, max_atoms=8):

@@ -187,6 +187,16 @@ def test_unknown_command_and_flag_exit_one(capsys):
     assert cli.run([]) == 1
 
 
+def test_argument_error_leaves_the_shared_parser_usable(capsys, uu_path):
+    # the parser is built once per process and reused by every run
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.run(["eq", "--instance"]) == 1
+    assert "error:" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["eq", "--instance", uu_path])
+    assert code == 0
+    assert payload["u_buyer"] == pytest.approx(1 / 12, abs=1e-12)
+
+
 def test_bad_lambda_grid_exits_one(capsys, uu_path):
     assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", "0:0.9:5"]) == 1
     assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", "0.9:0.1:5"]) == 1

@@ -20,6 +20,8 @@ from tradegains import (
     validate,
 )
 
+from conftest import random_discrete
+
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 STEP_PWL = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.5, 0.5), (1.0, 0.5)])
 
@@ -233,6 +235,21 @@ def test_negate_involution_pwl(d):
 def test_negate_flips_cdf_to_survival(d, k):
     p = k / 8
     assert d.negate().cdf(p) == pytest.approx(d.survival(-p), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_negate_cdf_is_survival_bit_for_bit(seed):
+    # seeded masses whose running sums round: the seller side is computed on
+    # negated priors and must see exactly the survival probabilities
+    d = random_discrete(np.random.default_rng(seed), max_atoms=12)
+    values = np.asarray(d.values)
+    probes = np.concatenate(
+        (values, 0.5 * (values[1:] + values[:-1]), [values[0] - 1.0, values[-1] + 1.0])
+    )
+    neg = d.negate()
+    for p in probes.tolist():
+        assert neg.cdf(-p) == d.survival(p)
+    assert np.array_equal(neg.cdf_many(-probes), d.survival_many(probes))
 
 
 @given(dists)

@@ -22,7 +22,7 @@ from tradegains import (
     uniform,
 )
 
-from conftest import random_discrete_instance
+from conftest import random_discrete, random_discrete_instance, random_pwl
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 UU = TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1))
@@ -253,6 +253,55 @@ def test_best_response_utility_monotone(corpus_small):
         assert all(a <= b + 1e-12 for a, b in zip(ub, ub[1:]))
         us = [seller_best_response(c, instance.buyer).utility for c in vs]
         assert all(a >= b - 1e-12 for a, b in zip(us, us[1:]))
+
+
+# --------------------------------------------------------------------------
+# dense-grid seller oracle
+#
+# The library computes the seller side as the buyer side on negated priors,
+# so the role-swap tests partly check that arithmetic against itself. This
+# oracle shares none of it: Pr[value >= p] comes straight from the raw atoms
+# or knots, and the best response is a maximum over a dense price grid.
+
+GRID_PRICES = 20001
+
+
+def grid_survival(buyer, prices):
+    """``Pr[value >= p]`` for each price, numpy only, from the raw atoms or knots."""
+    p = prices[:, None]
+    if isinstance(buyer, DiscreteDistribution):
+        values, probs = np.asarray(buyer.values), np.asarray(buyer.probs)
+        return np.where(values >= p, probs, 0.0).sum(axis=1)
+    qs, vals = np.asarray(buyer.qs), np.asarray(buyer.vals)
+    ya, yb, width = vals[:-1], vals[1:], np.diff(qs)
+    # share of each segment's quantiles whose value lies strictly below p
+    rising = yb > ya
+    below = np.where(
+        rising,
+        np.clip((p - ya) / np.where(rising, yb - ya, 1.0), 0.0, 1.0),
+        (ya < p).astype(float),
+    )
+    return 1.0 - (below * width).sum(axis=1)
+
+
+def grid_seller_best(c, buyer):
+    """(largest grid utility, grid step) over prices from ``c`` to the buyer's top."""
+    hi = max(c, buyer.support_max)
+    prices = np.linspace(c, hi, GRID_PRICES)
+    return float(((prices - c) * grid_survival(buyer, prices)).max()), (hi - c) / (GRID_PRICES - 1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seller_best_response_brackets_grid_oracle(seed):
+    # some grid point lies within one step below the optimal price and trades
+    # at least as often, so the optimum is at most one step above the grid's
+    rng = np.random.default_rng(seed)
+    buyers = (random_pwl(rng, int(rng.integers(3, 13))), random_discrete(rng, 12))
+    for buyer in buyers:
+        for c in rng.uniform(-0.2, 1.1, 5).tolist():
+            grid_best, step = grid_seller_best(c, buyer)
+            got = seller_best_response(c, buyer).utility
+            assert grid_best - 1e-12 <= got <= grid_best + step
 
 
 # --------------------------------------------------------------------------

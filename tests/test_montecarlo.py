@@ -16,7 +16,7 @@ from tradegains import (
     uniform,
 )
 
-from conftest import random_discrete_instance
+from conftest import random_discrete_instance, random_pwl
 
 UU = TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1))
 P1U = TradeInstance(buyer=point(1.0), seller=uniform(0, 1))
@@ -99,7 +99,7 @@ def test_pwl_proposer_prices_match_scalar_path():
     discrete = DiscreteDistribution.from_atoms(
         zip(atoms.tolist(), rng.dirichlet(np.ones(len(atoms))).tolist())
     )
-    for opponent in (uniform(0, 1), uniform(0.3, 0.8), discrete):
+    for opponent in (uniform(0, 1), uniform(0.3, 0.8), discrete, random_pwl(rng, 8)):
         w = np.linspace(-0.2, 1.3, 61)
         vb = mc._buyer_prices(w, opponent)
         vs = mc._seller_prices(w, opponent)
