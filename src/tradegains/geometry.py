@@ -241,7 +241,9 @@ def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDec
     def dec(v: float) -> Decomposition:
         return decompose_fixed_v(v, seller, lam)
 
-    breaks = _decomposition_breakpoints(seller, lam) + buyer_response_breakpoints(seller)
+    breaks = _decomposition_breakpoints(seller, lam)
+    if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
+        breaks += buyer_response_breakpoints(seller)
     fields = ("fb_v", "area_S", "area_B", "area_A", "u_S_geom", "u_B_dev", "u_B_opt")
     means = {f: expect(buyer, lambda v, f=f: getattr(dec(v), f), breaks) for f in fields}
     return AggregateDecomposition(

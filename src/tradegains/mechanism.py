@@ -247,7 +247,9 @@ def _buyer_proposer_side(buyer: Distribution, seller: Distribution) -> tuple[flo
             return 0.0
         return v * x - seller.integrate_quantile(0.0, x)
 
-    breaks = buyer_response_breakpoints(seller)
+    breaks: list[float] = []
+    if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
+        breaks = buyer_response_breakpoints(seller)
     u = expect(buyer, lambda v: br(v).utility, breaks)
     gft = expect(buyer, gft_cond, breaks)
     return u, gft

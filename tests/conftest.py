@@ -1,5 +1,8 @@
 """Shared corpus generation for the test suite."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -26,6 +29,34 @@ def random_pwl(rng, knots):
     return PiecewiseLinearDistribution.from_knots(
         zip(np.linspace(0.0, 1.0, knots).tolist(), np.sort(rng.uniform(0.0, 1.0, knots)).tolist())
     )
+
+
+class _Overrun(BaseException):
+    """Raised by the SIGALRM handler of :func:`budget`; no library handler catches it."""
+
+
+@contextlib.contextmanager
+def budget(seconds):
+    """Fail the test if the body runs longer than ``seconds`` of wall time.
+
+    A SIGALRM timer interrupts the body, so a call that never returns fails
+    one test instead of stalling the run. Main thread only. The failure
+    carries only its message: the interrupted traceback can hold frames
+    without a line number, which pytest cannot format.
+    """
+
+    def expire(signum, frame):
+        raise _Overrun
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Overrun:
+        raise pytest.fail.Exception(f"exceeded the {seconds} s budget", pytrace=False) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_discrete_instance(seed, max_atoms=8):

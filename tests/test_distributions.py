@@ -357,7 +357,11 @@ def test_expect_handles_declared_jump():
     assert expect(u, f, breakpoints=[0.3]) == pytest.approx(0.7, abs=1e-14)
 
 
-def test_expect_recovers_undeclared_jump():
-    u = uniform(0.0, 1.0)
-    f = lambda v: 1.0 if v >= 0.3 else 0.0
-    assert expect(u, f) == pytest.approx(0.7, abs=1e-9)
+def test_expect_integrates_each_piece_once():
+    # knots at q = 0, 0.25, 0.5, 1 with an atom at 0.5 (the flat run); the
+    # breakpoint 1.0 adds the cut q = 2/3, the atom and the out-of-support
+    # breakpoints add none: four pieces, one 7-point rule each
+    d = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)])
+    calls = []
+    expect(d, lambda v: calls.append(v) or v, breakpoints=[-1.0, 0.5, 1.0, 5.0])
+    assert len(calls) == 4 * 7
