@@ -116,6 +116,11 @@ class Distribution:
         """Values at which the CDF changes slope or jumps."""
         raise NotImplementedError
 
+    #: ``(lo, hi, slope, r)`` per strictly rising CDF segment, where the CDF
+    #: is ``slope * (p + r)``: the price maximizing ``(v - p) * cdf(p)`` on
+    #: the segment is ``0.5 * (v - r)``, inside it for ``lo <= v <= hi``.
+    stationary_segments: tuple[tuple[float, float, float, float], ...] = ()
+
     def negate(self) -> "Distribution":
         """Distribution of ``-X``."""
         raise NotImplementedError
@@ -311,8 +316,25 @@ class PiecewiseLinearDistribution(Distribution):
     def support_max(self) -> float:
         return self.vals[-1]
 
-    def knot_values(self) -> tuple[float, ...]:
+    @cached_property
+    def _knot_values(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.vals)))
+
+    def knot_values(self) -> tuple[float, ...]:
+        return self._knot_values
+
+    @cached_property
+    def stationary_segments(self) -> tuple[tuple[float, float, float, float], ...]:
+        qs, vals = self.qs, self.vals
+        out = []
+        for k in range(len(qs) - 1):
+            ya, yb = vals[k], vals[k + 1]
+            if ya == yb:
+                continue
+            slope = (qs[k + 1] - qs[k]) / (yb - ya)
+            r = qs[k] / slope - ya
+            out.append((2.0 * ya + r, 2.0 * yb + r, slope, r))
+        return tuple(out)
 
     def quantile(self, q: float) -> float:
         q = _check_prob_arg(q)

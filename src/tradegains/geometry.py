@@ -56,6 +56,13 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _check_value(v: float) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise DomainError(f"v must be finite, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """All fixed-v geometric quantities at one scaling parameter."""
@@ -94,7 +101,7 @@ def decompose_fixed_v(v: float, seller: Distribution, lam: float) -> Decompositi
     When ``x(v) = 0`` no trade is possible and every area is zero.
     """
     lam = _check_lambda(lam)
-    v = float(v)
+    v = _check_value(v)
     x_v = seller.cdf(v)
     u_b_opt = buyer_best_response(v, seller).utility
     if x_v <= 0.0:
@@ -128,7 +135,7 @@ def buyer_deviation_bound(v: float, seller: Distribution, lam: float) -> tuple[f
     convention, the utility is at least ``lambda * x(v) * (v - b)``.
     """
     lam = _check_lambda(lam)
-    v = float(v)
+    v = _check_value(v)
     x_v = seller.cdf(v)
     b = seller.quantile(lam * x_v)
     if x_v <= 0.0:
@@ -145,7 +152,7 @@ def seller_scaling_utility(v: float, seller: Distribution, lam: float) -> float:
     quantiles above ``lambda * x(v)``.
     """
     lam = _check_lambda(lam)
-    v = float(v)
+    v = _check_value(v)
     x_v = seller.cdf(v)
     if x_v <= 0.0:
         return 0.0
@@ -162,7 +169,7 @@ def key_lemma_margin(v: float, seller: Distribution, q: float) -> float:
     Offering ``c(q)`` trades with probability at least ``q``, so the margin
     is non-negative up to roundoff.
     """
-    v = float(v)
+    v = _check_value(v)
     q = float(q)
     x_v = seller.cdf(v)
     if not 0.0 <= q <= x_v:
@@ -173,7 +180,7 @@ def key_lemma_margin(v: float, seller: Distribution, q: float) -> float:
 
 def key_lemma_margins(v: float, seller: Distribution, qs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`key_lemma_margin` over an array of quantiles."""
-    v = float(v)
+    v = _check_value(v)
     qs = np.asarray(qs, dtype=float)
     x_v = seller.cdf(v)
     if qs.size and (qs.min() < 0.0 or qs.max() > x_v):

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .distributions import (
-    DiscreteDistribution,
     Distribution,
     PiecewiseLinearDistribution,
     distribution_from_json,
@@ -89,32 +88,9 @@ def acceptance_prob(seller: Distribution, p: float) -> float:
 # Against a discrete opponent the only undominated prices are the opponent's
 # atom values (on the profitable side). Against a piecewise-linear opponent
 # the objective is quadratic on each strictly increasing CDF segment, so the
-# candidates are the segment endpoints plus the interior stationary point.
-
-
-def _buyer_candidate_prices(seller: Distribution, v: float) -> list[float]:
-    prices: list[float] = []
-    if isinstance(seller, DiscreteDistribution):
-        i = bisect.bisect_right(seller.values, v)
-        prices.extend(seller.values[:i])
-        return prices
-    qs, vals = seller.qs, seller.vals
-    for k in range(len(qs) - 1):
-        ya, yb = vals[k], vals[k + 1]
-        if ya > v:
-            break
-        prices.append(ya)
-        if ya == yb:
-            continue
-        if yb <= v:
-            prices.append(yb)
-        slope = (qs[k + 1] - qs[k]) / (yb - ya)
-        r = qs[k] / slope - ya
-        # stationary point of (v - p) * (slope * (p + r)); valid while it
-        # stays inside the segment (which also keeps it at or below v)
-        if 2.0 * ya + r <= v <= 2.0 * yb + r:
-            prices.append(0.5 * (v - r))
-    return prices
+# candidates are the knot values plus each segment's stationary point
+# (``Distribution.stationary_segments``) while it stays inside the segment,
+# which also keeps it at or below v.
 
 
 def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
@@ -125,9 +101,14 @@ def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
     buyer quotes his own value and keeps utility zero.
     """
     v = float(v)
+    knots = seller.knot_values()
+    prices = list(knots[: bisect.bisect_right(knots, v)])
+    for lo, hi, _, r in seller.stationary_segments:
+        if lo <= v <= hi:
+            prices.append(0.5 * (v - r))
     best_key = None
     best = None
-    for p in _buyer_candidate_prices(seller, v):
+    for p in prices:
         x = seller.cdf(p)
         u = (v - p) * x
         key = (u, x, -p)
@@ -192,18 +173,11 @@ def buyer_response_breakpoints(seller: Distribution) -> list[float]:
         x0 = seller.cdf(p0)
         curves.append((0.0, x0, -p0 * x0))
         bounds.add(p0)
-    if isinstance(seller, PiecewiseLinearDistribution):
-        qs, vals = seller.qs, seller.vals
-        for k in range(len(qs) - 1):
-            ya, yb = vals[k], vals[k + 1]
-            if ya == yb:
-                continue
-            slope = (qs[k + 1] - qs[k]) / (yb - ya)
-            icpt = qs[k] - slope * ya
-            r = icpt / slope
-            curves.append((0.25 * slope, 0.5 * icpt, 0.25 * icpt * icpt / slope))
-            bounds.add(2.0 * ya + r)
-            bounds.add(2.0 * yb + r)
+    for lo, hi, slope, r in seller.stationary_segments:
+        # utility of the stationary price: 0.25 * slope * (w + r)^2
+        curves.append((0.25 * slope, 0.5 * slope * r, 0.25 * slope * r * r))
+        bounds.add(lo)
+        bounds.add(hi)
     bounds.update(_crossings(curves))
     return sorted(b for b in bounds if math.isfinite(b))
 
@@ -242,7 +216,7 @@ def _buyer_proposer_side(buyer: Distribution, seller: Distribution) -> tuple[flo
         return buyer_best_response(v, seller)
 
     def gft_cond(v: float) -> float:
-        x = seller.cdf(br(v).price)
+        x = br(v).trade_prob
         if x <= 0.0:
             return 0.0
         return v * x - seller.integrate_quantile(0.0, x)

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, Distribution, PiecewiseLinearDistribution
+from .distributions import DiscreteDistribution, Distribution
 from .errors import DomainError
-from .mechanism import TradeInstance, buyer_best_response, seller_best_response
+from .mechanism import TradeInstance, buyer_best_response, role_swap
+# unused here, kept importable: the benchmark's traced runs wrap this name
+from .mechanism import seller_best_response  # noqa: F401
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -94,16 +97,9 @@ def _buyer_prices(values: np.ndarray, seller: Distribution) -> np.ndarray:
     for p0 in seller.knot_values():
         price_cols.append(np.full(n, p0))
         valid_cols.append(p0 <= values)
-    if isinstance(seller, PiecewiseLinearDistribution):
-        qs, vals = seller.qs, seller.vals
-        for k in range(len(qs) - 1):
-            ya, yb = vals[k], vals[k + 1]
-            if ya == yb:
-                continue
-            slope = (qs[k + 1] - qs[k]) / (yb - ya)
-            r = qs[k] / slope - ya
-            price_cols.append(0.5 * (values - r))
-            valid_cols.append((2.0 * ya + r <= values) & (values <= 2.0 * yb + r))
+    for lo, hi, _, r in seller.stationary_segments:
+        price_cols.append(0.5 * (values - r))
+        valid_cols.append((lo <= values) & (values <= hi))
     prices = np.stack(price_cols, axis=1)
     valid = np.stack(valid_cols, axis=1)
     trade = seller.cdf_many(prices.ravel()).reshape(prices.shape)
@@ -117,8 +113,14 @@ def _buyer_prices(values: np.ndarray, seller: Distribution) -> np.ndarray:
     return np.where(np.isfinite(best_u), best, values)
 
 
-def _seller_prices(costs: np.ndarray, buyer: Distribution) -> np.ndarray:
-    return -_buyer_prices(-costs, buyer.negate())
+def _proposer_prices(
+    buyer: Distribution, seller: Distribution
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized best-response prices of buyer values proposing against ``seller``."""
+    if isinstance(buyer, DiscreteDistribution):
+        table = np.asarray([buyer_best_response(v, seller).price for v in buyer.values])
+        return lambda values: table[np.searchsorted(buyer._values_arr, values)]
+    return lambda values: _buyer_prices(values, seller)
 
 
 @dataclass(frozen=True)
@@ -147,55 +149,37 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
     ``u_buyer``/``u_seller`` are proposer utilities conditioned on the
     respective agent proposing (their trial counts add up to ``trials``).
     For a discrete proposer prior the best-response price is solved once
-    per atom and looked up; otherwise prices are optimized per sample with
-    the same segment-exact rule as the scalar path.
+    per atom and looked up by the sampled type; otherwise prices are
+    optimized per sample over the scalar path's candidates. The seller
+    proposes as the buyer of the role-swapped instance.
     """
     trials = _check_trials(trials)
     buyer, seller = instance.buyer, instance.seller
 
-    buyer_lut = None
-    if isinstance(buyer, DiscreteDistribution):
-        buyer_lut = np.asarray([buyer_best_response(v, seller).price for v in buyer.values])
-    seller_lut = None
-    if isinstance(seller, DiscreteDistribution):
-        seller_lut = np.asarray([seller_best_response(c, buyer).price for c in seller.values])
+    price_b = _proposer_prices(buyer, seller)
+    swapped = role_swap(instance)
+    price_s = _proposer_prices(swapped.buyer, swapped.seller)
 
     gft_parts, ub_parts, us_parts = [], [], []
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
         coin = _uniforms(seed, start, count, 0)
-        uv = _uniforms(seed, start, count, 1)
-        uc = _uniforms(seed, start, count, 2)
-        v = buyer.sample_many(uv)
-        c = seller.sample_many(uc)
+        v = buyer.sample_many(_uniforms(seed, start, count, 1))
+        c = seller.sample_many(_uniforms(seed, start, count, 2))
         buyer_side = coin < 0.5
 
         gft = np.zeros(count)
 
         vb, cb = v[buyer_side], c[buyer_side]
         if vb.size:
-            if buyer_lut is not None:
-                idx = np.minimum(
-                    np.searchsorted(buyer._cum_arr, uv[buyer_side], side="left"),
-                    len(buyer.values) - 1,
-                )
-                pb = buyer_lut[idx]
-            else:
-                pb = _buyer_prices(vb, seller)
+            pb = price_b(vb)
             accept = cb <= pb
             gft[buyer_side] = np.where(accept, vb - cb, 0.0)
             ub_parts.append(np.where(accept, vb - pb, 0.0))
 
         vs, cs = v[~buyer_side], c[~buyer_side]
         if vs.size:
-            if seller_lut is not None:
-                idx = np.minimum(
-                    np.searchsorted(seller._cum_arr, uc[~buyer_side], side="left"),
-                    len(seller.values) - 1,
-                )
-                ps = seller_lut[idx]
-            else:
-                ps = _seller_prices(cs, buyer)
+            ps = -price_s(-cs)
             accept = vs >= ps
             gft[~buyer_side] = np.where(accept, vs - cs, 0.0)
             us_parts.append(np.where(accept, ps - cs, 0.0))

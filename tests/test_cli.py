@@ -66,6 +66,22 @@ def test_decompose_fixed_v(capsys, uu_path):
     assert payload["area_B"] == 0.375
 
 
+@pytest.mark.parametrize("v", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "seller",
+    [{"kind": "uniform", "lo": 0, "hi": 1}, {"kind": "discrete", "atoms": [[0.2, 0.5], [0.7, 0.5]]}],
+    ids=["pwl", "discrete"],
+)
+def test_decompose_non_finite_v_exits_one(capsys, tmp_path, v, seller):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"buyer": UU_JSON["buyer"], "seller": seller}))
+    argv = ["decompose", "--instance", str(path), "--lambda", "0.5", "--v", v]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: v must be finite")
+
+
 def test_decompose_aggregate(capsys, uu_path):
     code, payload = run_json(capsys, ["decompose", "--instance", uu_path, "--lambda", "0.5"])
     assert code == 0

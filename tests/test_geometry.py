@@ -68,6 +68,20 @@ def test_decompose_lambda_domain():
             decompose_fixed_v(1.0, U01, lam)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("seller", [U01, COIN], ids=["pwl", "discrete"])
+def test_fixed_v_functions_reject_non_finite_v(v, seller):
+    for call in (
+        lambda: decompose_fixed_v(v, seller, 0.5),
+        lambda: buyer_deviation_bound(v, seller, 0.5),
+        lambda: seller_scaling_utility(v, seller, 0.5),
+        lambda: key_lemma_margin(v, seller, 0.0),
+        lambda: key_lemma_margins(v, seller, np.zeros(1)),
+    ):
+        with pytest.raises(DomainError, match="v must be finite"):
+            call()
+
+
 # --------------------------------------------------------------------------
 # buyer deviation
 

@@ -7,6 +7,7 @@ import tradegains.montecarlo as mc
 from tradegains import (
     DiscreteDistribution,
     DomainError,
+    PiecewiseLinearDistribution,
     TradeInstance,
     equilibrium,
     first_best,
@@ -99,10 +100,15 @@ def test_pwl_proposer_prices_match_scalar_path():
     discrete = DiscreteDistribution.from_atoms(
         zip(atoms.tolist(), rng.dirichlet(np.ones(len(atoms))).tolist())
     )
-    for opponent in (uniform(0, 1), uniform(0.3, 0.8), discrete, random_pwl(rng, 8)):
+    # a flat run of knot values is an atom of the pwl prior
+    with_atom = PiecewiseLinearDistribution.from_knots(
+        [(0.0, 0.1), (0.25, 0.35), (0.6, 0.35), (0.8, 0.7), (1.0, 0.95)]
+    )
+    for opponent in (uniform(0, 1), uniform(0.3, 0.8), discrete, random_pwl(rng, 8), with_atom):
         w = np.linspace(-0.2, 1.3, 61)
         vb = mc._buyer_prices(w, opponent)
-        vs = mc._seller_prices(w, opponent)
+        # the seller side is priced on the role-swapped instance
+        vs = -mc._buyer_prices(-w, opponent.negate())
         for i, x in enumerate(w):
             assert vb[i] == buyer_best_response(x, opponent).price
             assert vs[i] == seller_best_response(x, opponent).price

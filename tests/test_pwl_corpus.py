@@ -86,6 +86,26 @@ def test_declared_breakpoints_are_complete(instance, monkeypatch):
         assert getattr(split, field) == pytest.approx(getattr(eq, field), rel=0, abs=1e-12), field
 
 
+@pytest.mark.parametrize("knots", (3, 4, 6, 8, 12))
+def test_breakpoints_hold_the_validity_ends_exactly(knots):
+    # the scalar best response takes a rising segment's stationary price
+    # 0.5 * (v - r) for 2*y_a + r <= v <= 2*y_b + r, so the best response can
+    # switch at exactly those values and the breakpoints must hold them
+    missing = []
+    for seed in range(30):
+        seller = random_pwl(np.random.default_rng(seed), knots)
+        breaks = set(mechanism.buyer_response_breakpoints(seller))
+        qs, vals = seller.qs, seller.vals
+        for k in range(knots - 1):
+            ya, yb = vals[k], vals[k + 1]
+            if ya == yb:
+                continue
+            slope = (qs[k + 1] - qs[k]) / (yb - ya)
+            r = qs[k] / slope - ya
+            missing += [(seed, end) for end in (2.0 * ya + r, 2.0 * yb + r) if end not in breaks]
+    assert not missing
+
+
 def test_budget_interrupts_a_stalled_body():
     start = time.monotonic()
     with pytest.raises(pytest.fail.Exception, match="budget"):
