@@ -29,6 +29,7 @@ from .geometry import (
     key_lemma_margin,
     key_lemma_margins,
     seller_scaling_utility,
+    sweep_bounds,
     verify_bounds,
 )
 from .mechanism import (
@@ -104,6 +105,7 @@ __all__ = [
     "seller_scaling_utility",
     "simulate_fb",
     "simulate_mechanism",
+    "sweep_bounds",
     "trade_instance_from_json",
     "trade_instance_to_json",
     "uniform",

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import DomainError, InvariantViolation, ValidationError
-from .geometry import aggregate_decomposition, decompose_fixed_v, verify_bounds
+from .geometry import aggregate_decomposition, decompose_fixed_v, sweep_bounds, verify_bounds
 from .mechanism import (
     TradeInstance,
     equilibrium,
@@ -126,8 +126,7 @@ def _parse_grid(text: str) -> list[float]:
     return [a + i * step for i in range(n - 1)] + [b]
 
 
-def _sweep_row(instance: TradeInstance, lam: float) -> dict:
-    report = verify_bounds(instance, lam)
+def _sweep_row(report) -> dict:
     return {
         "lambda": report.lam,
         "fb": report.fb,
@@ -135,7 +134,7 @@ def _sweep_row(instance: TradeInstance, lam: float) -> dict:
         "u_S": report.u_seller,
         "E_area_A": report.mean_area_A,
         "E_u_S_geom": report.mean_u_S_geom,
-        "ratio_bound": ratio_bound(lam),
+        "ratio_bound": ratio_bound(report.lam),
         "slack_identity": report.slacks["identity"],
         "slack_area_log": report.slacks["area_log"],
         "slack_avg": report.slacks["avg"],
@@ -162,10 +161,8 @@ def _dispatch(args: argparse.Namespace):
             return decompose_fixed_v(args.v, instance.seller, args.lam).to_json()
         return aggregate_decomposition(instance, args.lam).to_json()
     if args.command == "verify":
-        instance = _load_instance(args.instance)
-        report = verify_bounds(instance, args.lam).to_json()
-        report.update(guarantee_check(instance).to_json())
-        return report
+        report = verify_bounds(_load_instance(args.instance), args.lam)
+        return {**report.to_json(), **guarantee_check(report).to_json()}
     if args.command == "lambda-opt":
         return optimize_lambda(args.tol).to_json()
     if args.command == "simulate":
@@ -186,7 +183,7 @@ def _dispatch(args: argparse.Namespace):
         return worst_case_search(cfg).to_json()
     if args.command == "sweep":
         instance = _load_instance(args.instance)
-        rows = [_sweep_row(instance, lam) for lam in _parse_grid(args.grid)]
+        rows = [_sweep_row(report) for report in sweep_bounds(instance, _parse_grid(args.grid))]
         if args.format == "csv":
             return _format_csv(rows)
         return rows
@@ -206,7 +203,7 @@ def run(argv=None) -> int:
         for problem in err.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    except (DomainError, OSError, json.JSONDecodeError) as err:
+    except (DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InvariantViolation as err:

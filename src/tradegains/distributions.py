@@ -484,14 +484,21 @@ class PiecewiseLinearDistribution(Distribution):
 # construction sugar
 
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError([f"{name} must be a number, got {value!r}"]) from None
+
+
 def point(value: float) -> DiscreteDistribution:
     """Point mass at ``value``."""
-    return DiscreteDistribution.from_atoms([(float(value), 1.0)])
+    return DiscreteDistribution.from_atoms([(_number("point value", value), 1.0)])
 
 
 def uniform(lo: float, hi: float) -> Distribution:
     """Uniform distribution on ``[lo, hi]`` (a point mass when ``lo == hi``)."""
-    lo, hi = float(lo), float(hi)
+    lo, hi = _number("uniform lo", lo), _number("uniform hi", hi)
     if math.isnan(lo) or math.isnan(hi) or lo > hi:
         raise ValidationError([f"uniform bounds must satisfy lo <= hi, got {lo!r}, {hi!r}"])
     if lo == hi:

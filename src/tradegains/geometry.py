@@ -38,7 +38,9 @@ from .distributions import (
 )
 from .errors import DomainError, InvariantViolation
 from .mechanism import (
+    EquilibriumReport,
     TradeInstance,
+    _check_value,
     buyer_best_response,
     buyer_response_breakpoints,
     equilibrium,
@@ -54,13 +56,6 @@ def _check_lambda(lam: float) -> float:
     if not 0.0 < lam < 1.0 or math.isnan(lam):
         raise DomainError(f"lambda must lie in (0, 1), got {lam!r}")
     return lam
-
-
-def _check_value(v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise DomainError(f"v must be finite, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -317,9 +312,18 @@ def verify_bounds(instance: TradeInstance, lam: float) -> BoundReport:
     ``SLACK_TOL`` (relative to ``max(1, fb)``): the bounds hold for every
     instance, so a violation is an implementation bug, not data.
     """
-    lam = _check_lambda(lam)
-    buyer, seller = instance.buyer, instance.seller
+    return sweep_bounds(instance, (lam,))[0]
+
+
+def sweep_bounds(instance: TradeInstance, lams) -> list[BoundReport]:
+    """:func:`verify_bounds` at each lambda of ``lams``, on one equilibrium."""
+    lams = [_check_lambda(lam) for lam in lams]
     eq = equilibrium(instance)
+    return [_bound_report(instance, eq, lam) for lam in lams]
+
+
+def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lam: float) -> BoundReport:
+    buyer, seller = instance.buyer, instance.seller
     log_term = math.log(1.0 / lam)
 
     @functools.cache

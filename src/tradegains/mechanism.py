@@ -31,7 +31,7 @@ from .distributions import (
     distribution_from_json,
     expect,
 )
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,13 @@ def acceptance_prob(seller: Distribution, p: float) -> float:
     return seller.cdf(p)
 
 
+def _check_value(v: float) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise DomainError(f"v must be finite, got {v!r}")
+    return v
+
+
 # --------------------------------------------------------------------------
 # candidate prices
 #
@@ -98,9 +105,10 @@ def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
 
     Ties are broken toward the larger trade probability, then the smaller
     price. When no offer can trade (``v`` below the seller's support) the
-    buyer quotes his own value and keeps utility zero.
+    buyer quotes his own value and keeps utility zero. A non-finite ``v``
+    raises :class:`DomainError`.
     """
-    v = float(v)
+    v = _check_value(v)
     knots = seller.knot_values()
     prices = list(knots[: bisect.bisect_right(knots, v)])
     for lo, hi, _, r in seller.stationary_segments:

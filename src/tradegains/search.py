@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import DiscreteDistribution
 from .errors import DomainError, InvariantViolation
 from .mechanism import TradeInstance, equilibrium, trade_instance_to_json
-from .ratio import MARGIN_TOL, default_optimum
+from .ratio import default_optimum, guarantee_check
 
 #: Probability mass floor for perturbed weights.
 MIN_MASS = 1e-9
@@ -123,23 +123,15 @@ def worst_case_search(
     ratio 1 so vacuous no-trade instances never dominate.
     """
     _validate_config(cfg)
-    ratio_star = default_optimum().ratio_star
-    ceiling = ratio_star + 1e-6
+    ceiling = default_optimum().ratio_star + 1e-6
     evaluations = 0
 
     def evaluate(instance: TradeInstance) -> float:
         nonlocal evaluations
         evaluations += 1
         eq = equilibrium(instance)
-        if eq.fb <= 0.0:
-            ratio = 1.0
-        else:
-            tol = MARGIN_TOL * max(1.0, eq.fb)
-            if eq.gft - eq.fb / 4.0 < -tol or eq.gft - eq.fb / ratio_star < -tol:
-                raise InvariantViolation(
-                    f"guarantee margin negative on searched instance (fb={eq.fb!r}, gft={eq.gft!r})"
-                )
-            ratio = eq.fb / eq.gft
+        guarantee_check(eq)
+        ratio = eq.fb / eq.gft if eq.fb > 0.0 else 1.0
         if ratio > ceiling:
             raise InvariantViolation(f"evaluated ratio {ratio!r} exceeds proven ceiling {ceiling!r}")
         if on_evaluate is not None:

@@ -16,6 +16,13 @@ settings.load_profile("deterministic")
 #: Scaling parameters 0.05, 0.10, ..., 0.95.
 LAMBDA_GRID = tuple(i / 20 for i in range(1, 20))
 
+#: Sugar objects whose numeric fields are not numbers.
+NON_NUMBER_SUGAR = (
+    {"kind": "uniform", "lo": "abc", "hi": 1},
+    {"kind": "uniform", "lo": [1], "hi": 1},
+    {"kind": "point", "value": None},
+)
+
 
 def random_discrete(rng, max_atoms=8, lo=0.0, hi=1.0):
     n = int(rng.integers(1, max_atoms + 1))

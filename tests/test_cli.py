@@ -5,7 +5,12 @@ import json
 import pytest
 
 import tradegains.cli as cli
+import tradegains.geometry as geometry
+import tradegains.ratio as ratio
+import tradegains.search as search
 from tradegains.errors import InvariantViolation
+
+from conftest import NON_NUMBER_SUGAR
 
 UU_JSON = {
     "buyer": {"kind": "uniform", "lo": 0, "hi": 1},
@@ -195,6 +200,48 @@ def test_invalid_distribution_exits_one(capsys, tmp_path):
     assert cli.run(["fb", "--instance", str(path)]) == 1
     err = capsys.readouterr().err
     assert "sum != 1" in err
+
+
+@pytest.mark.parametrize("buyer", NON_NUMBER_SUGAR)
+def test_non_number_sugar_exits_one(capsys, tmp_path, buyer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"buyer": buyer, "seller": UU_JSON["seller"]}))
+    assert cli.run(["eq", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_non_utf8_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.run(["eq", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_one_equilibrium_per_command(capsys, uu_path, monkeypatch):
+    solved = []
+    for module in (geometry, ratio, search):
+        def counted(instance, solve=module.equilibrium):
+            solved.append(instance)
+            return solve(instance)
+
+        monkeypatch.setattr(module, "equilibrium", counted)
+
+    assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", "0.05:0.95:19"]) == 0
+    assert len(solved) == 1
+    solved.clear()
+    assert cli.run(["verify", "--instance", uu_path, "--lambda", "0.5"]) == 0
+    assert len(solved) == 1
+    solved.clear()
+    capsys.readouterr()
+    code, payload = run_json(
+        capsys, ["search", "--atoms", "3", "--iters", "4", "--restarts", "2", "--seed", "1"]
+    )
+    assert code == 0
+    assert len(solved) == payload["evaluations"] == 10
 
 
 def test_unknown_command_and_flag_exit_one(capsys):

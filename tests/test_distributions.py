@@ -20,7 +20,7 @@ from tradegains import (
     validate,
 )
 
-from conftest import random_discrete
+from conftest import NON_NUMBER_SUGAR, random_discrete
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 STEP_PWL = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.5, 0.5), (1.0, 0.5)])
@@ -328,6 +328,12 @@ def test_json_sugar_desugars():
     assert u.qs == (0.0, 1.0) and u.vals == (0.0, 1.0)
     with pytest.raises(ValidationError):
         distribution_from_json({"kind": "gaussian", "mu": 0})
+
+
+@pytest.mark.parametrize("obj", NON_NUMBER_SUGAR)
+def test_json_sugar_rejects_non_numbers(obj):
+    with pytest.raises(ValidationError):
+        distribution_from_json(obj)
 
 
 @given(dists)

@@ -17,7 +17,9 @@ from tradegains import (
     key_lemma_margin,
     key_lemma_margins,
     point,
+    guarantee_check,
     seller_scaling_utility,
+    sweep_bounds,
     uniform,
     verify_bounds,
 )
@@ -277,14 +279,18 @@ def test_verify_bounds_trivial_instance_all_zero():
 
 
 def test_verify_bounds_on_corpus(corpus_small):
+    lams = (0.1, 0.31784, 0.5, 0.9)
     for instance in corpus_small[:25]:
-        for lam in (0.1, 0.31784, 0.5, 0.9):
+        for lam in lams:
             report = verify_bounds(instance, lam)
             tol = 1e-9 * max(1.0, report.fb)
             assert abs(report.slacks["identity"]) <= tol
             for name, slack in report.slacks.items():
                 if name != "identity":
                     assert slack >= -tol
+        reports = [verify_bounds(instance, lam) for lam in lams]
+        assert sweep_bounds(instance, lams) == reports
+        assert guarantee_check(reports[0]) == guarantee_check(equilibrium(instance))
 
 
 def test_verify_bounds_lambda_domain():

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from tradegains import (
     DiscreteDistribution,
+    DomainError,
     PiecewiseLinearDistribution,
     TradeInstance,
     acceptance_prob,
@@ -222,6 +223,14 @@ def test_seller_best_response_examples():
     assert (got.price, got.utility, got.trade_prob) == (1.0, 0.5, 0.5)
     got = seller_best_response(1.5, point(1.0))
     assert (got.utility, got.trade_prob) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("response", [buyer_best_response, seller_best_response])
+@pytest.mark.parametrize("opponent", [uniform(0, 1), COIN], ids=["pwl", "discrete"])
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_best_responses_reject_non_finite_type(response, opponent, w):
+    with pytest.raises(DomainError):
+        response(w, opponent)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -77,24 +77,24 @@ def test_optimize_lambda_tolerance_domain():
 
 def test_guarantee_check_examples():
     opt = optimize_lambda(1e-12)
-    margins = guarantee_check(UU)
+    margins = guarantee_check(equilibrium(UU))
     assert margins.margin_315 == pytest.approx(1 / 8 - (1 / 6) / opt.ratio_star, abs=1e-12)
     assert margins.margin_315 == pytest.approx(0.0720, abs=1e-4)
     assert margins.margin_4 == pytest.approx(1 / 8 - 1 / 24, abs=1e-12)
 
     p1u = TradeInstance(buyer=point(1.0), seller=uniform(0, 1))
-    margins = guarantee_check(p1u)
+    margins = guarantee_check(equilibrium(p1u))
     assert margins.margin_4 == pytest.approx(7 / 16 - 1 / 8, abs=1e-12)
 
     trivial = TradeInstance(buyer=point(0.0), seller=point(1.0))
-    margins = guarantee_check(trivial)
+    margins = guarantee_check(equilibrium(trivial))
     assert margins.margin_315 == 0.0
     assert margins.margin_4 == 0.0
 
 
 def test_guarantee_check_on_corpus(corpus_small):
     for instance in corpus_small:
-        margins = guarantee_check(instance)
+        margins = guarantee_check(equilibrium(instance))
         eq = equilibrium(instance)
         tol = 1e-9 * max(1.0, eq.fb)
         assert margins.margin_315 >= -tol
