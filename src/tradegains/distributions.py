@@ -121,6 +121,11 @@ class Distribution:
     #: the segment is ``0.5 * (v - r)``, inside it for ``lo <= v <= hi``.
     stationary_segments: tuple[tuple[float, float, float, float], ...] = ()
 
+    @cached_property
+    def buyer_envelope(self) -> "BuyerEnvelope":
+        """Upper envelope of a buyer's candidate prices against this prior."""
+        return _buyer_envelope(self)
+
     def negate(self) -> "Distribution":
         """Distribution of ``-X``."""
         raise NotImplementedError
@@ -208,24 +213,31 @@ class DiscreteDistribution(Distribution):
         i = bisect.bisect_left(self.values, p)
         return self.cum[i - 1] if i > 0 else 0.0
 
+    @cached_property
+    def _quantile_prefix(self) -> tuple[float, ...]:
+        """``integrate_quantile(0, cum[i - 1])`` at index ``i``, summed left to right."""
+        out = [0.0]
+        total = prev = 0.0
+        for v, c in zip(self.values, self.cum):
+            if c > prev:
+                total += v * (c - prev)
+            out.append(total)
+            prev = c
+        return tuple(out)
+
+    def _integrate_quantile_to(self, q: float) -> float:
+        i = bisect.bisect_left(self.cum, q)
+        prev = self.cum[i - 1] if i > 0 else 0.0
+        return self._quantile_prefix[i] + self.values[i] * (q - prev)
+
     def integrate_quantile(self, q0: float, q1: float) -> float:
         q0 = _check_prob_arg(q0, "q0")
         q1 = _check_prob_arg(q1, "q1")
         if q0 > q1:
             raise DomainError(f"inverted bounds: q0={q0!r} > q1={q1!r}")
-        cum = self.cum
-        values = self.values
-        lo = bisect.bisect_left(cum, q0)
-        total = 0.0
-        prev = cum[lo - 1] if lo > 0 else 0.0
-        for i in range(lo, len(values)):
-            left = max(prev, q0)
-            right = min(cum[i], q1)
-            if right > left:
-                total += values[i] * (right - left)
-            if cum[i] >= q1:
-                break
-            prev = cum[i]
+        total = self._integrate_quantile_to(q1)
+        if q0 > 0.0:
+            total -= self._integrate_quantile_to(q0)
         return total
 
     def integrate_cdf(self, p0: float, p1: float) -> float:
@@ -478,6 +490,149 @@ class PiecewiseLinearDistribution(Distribution):
         left = np.where(at_knot, qs[np.minimum(j, len(vals) - 1)], interp)
         left = np.where(below, 0.0, np.where(above, 1.0, left))
         return 1.0 - left
+
+
+# --------------------------------------------------------------------------
+# the buyer's upper envelope
+
+
+@dataclass(frozen=True)
+class BuyerEnvelope:
+    """Which candidate prices can be a buyer's best response, by buyer value ``v``.
+
+    A buyer of value ``v`` posting ``p`` against a prior earns
+    ``(v - p) * cdf(p)``. The candidates are the prior's knots and, on each
+    rising CDF segment, the stationary price. Their optimum over ``v`` is
+    convex (Milgrom & Segal 2002) and the optimal price is non-decreasing in
+    ``v`` (Topkis 1978), so one envelope answers every buyer value.
+
+    Entry ``i`` is on top for ``starts[i] <= v < starts[i + 1]``
+    (``starts[0]`` is ``-inf``). Each entry is ``(fixed, lo, hi, r)``:
+    ``fixed`` holds the ``(price, cdf(price))`` knots it offers (its own
+    knot, or a segment's two end knots), and a segment also offers its
+    stationary price ``0.5 * (v - r)`` for ``lo <= v <= hi`` (a knot has
+    ``lo = hi = inf``).
+    """
+
+    starts: tuple[float, ...]
+    entries: tuple[tuple[tuple[tuple[float, float], ...], float, float, float], ...]
+
+
+def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
+    """Stack sweep over the candidates in price order: knot, segment, knot, ...
+
+    Their trade probabilities do not decrease along that order, so each
+    candidate overtakes an earlier one at most once, and every candidate is
+    pushed and popped at most once.
+    """
+    inf = math.inf
+    knots = dist.knot_values()
+    segments = dist.stationary_segments  # one between each two knots of a pwl prior
+    xs = [dist.cdf(p) for p in knots]
+    # curve of each candidate as a function of v: the line (v - pa) * xa below
+    # lo, the parabola 0.25 * slope * (v + r)**2 on [lo, hi] and the line
+    # (v - pb) * xb above hi; a segment's tails are its end prices at the
+    # segment's own limits cdf(ya) and cdf_left(yb)
+    curves = []
+    entries = []
+    for j, (p, x) in enumerate(zip(knots, xs)):
+        curves.append((p, x, p, x, inf, inf, 0.0, 0.0))
+        entries.append((((p, x),), inf, inf, 0.0))
+        if j < len(segments):
+            lo, hi, slope, r = segments[j]
+            yb = knots[j + 1]
+            curves.append((p, x, yb, dist.cdf_left(yb), lo, hi, r, slope))
+            entries.append((((p, x), (yb, xs[j + 1])), lo, hi, r))
+    stack: list[int] = []
+    starts: list[float] = []
+    for i in range(len(curves)):
+        w = -inf
+        while stack:
+            w = _overtakes(curves, i, stack[-1])
+            if w > starts[-1]:
+                break
+            stack.pop()
+            starts.pop()
+            w = -inf
+        if w < inf:
+            stack.append(i)
+            starts.append(w)
+    return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries[i] for i in stack))
+
+
+def _curve_at(c: tuple, v: float) -> float:
+    pa, xa, pb, xb, lo, hi, r, slope = c
+    if v < lo:
+        return (v - pa) * xa
+    if v > hi:
+        return (v - pb) * xb
+    z = v + r
+    return 0.25 * slope * z * z
+
+
+def _overtakes(curves: list[tuple], i: int, j: int) -> float:
+    """Least ``v`` from which curve ``i`` is at least the earlier curve ``j``.
+
+    ``inf`` when it never is. The difference of the two curves does not
+    decrease in ``v``, so it is located between the curves' own piece ends
+    and solved in closed form on that piece.
+    """
+    c, t = curves[i], curves[j]
+    if c[4] == t[4] == math.inf:  # two knots: lines throughout
+        return _line_overtakes(c[0], c[1], t[0], t[1], -math.inf, math.inf)
+    if j == i - 1:
+        # a segment touches its end knots' lines: take the tangency from
+        # the segment instead of solving for a double root
+        if t[4] == math.inf and c[4] < math.inf:
+            return c[4]
+        if c[4] == math.inf and t[4] < math.inf and c[1] == t[3]:
+            return t[5]
+    ends = sorted({c[4], c[5], t[4], t[5]} - {math.inf})
+    m = 0
+    while m < len(ends) and _curve_at(c, ends[m]) < _curve_at(t, ends[m]):
+        m += 1
+    a = ends[m - 1] if m > 0 else -math.inf
+    b = ends[m] if m < len(ends) else math.inf
+    c_line, c1, c2 = _piece(c, a, b)
+    t_line, t1, t2 = _piece(t, a, b)
+    if c_line and t_line:
+        return _line_overtakes(c1, c2, t1, t2, a, b)
+    if c_line:
+        # line over parabola: the smaller root of x (v - p) = slope (v + r)**2 / 4
+        (p, x), (slope, r) = (c1, c2), (t1, t2)
+        root = x + math.sqrt(max(x * (x - slope * (p + r)), 0.0))
+        w = 2.0 * x * (p + r) / root - r if root > 0.0 else b
+    elif t_line:
+        # parabola over line: the larger root
+        (slope, r), (p, x) = (c1, c2), (t1, t2)
+        w = 2.0 * (x + math.sqrt(max(x * (x - slope * (p + r)), 0.0))) / slope - r
+    else:
+        # two parabolas: v + r_c = rho (v + r_t) on both arcs, rho = sqrt(s_t / s_c);
+        # rho does not change when every value is scaled by a power of two
+        (sc, rc), (st, rt) = (c1, c2), (t1, t2)
+        rho = math.sqrt(st / sc)
+        w = (rho * rt - rc) / (1.0 - rho) if rho != 1.0 else -0.5 * (rc + rt)
+    if w != w:
+        return b
+    return min(max(w, a), b)
+
+
+def _line_overtakes(pc: float, xc: float, pt: float, xt: float, a: float, b: float) -> float:
+    """Where the line ``(v - pc) * xc`` reaches ``(v - pt) * xt`` on ``[a, b]``, ``pc >= pt``."""
+    if xc > xt:
+        return min(max(pc + xt * (pc - pt) / (xc - xt), a), b)
+    # parallel: the later line is either the same or never above
+    return a if xt * (pt - pc) >= 0.0 else b
+
+
+def _piece(c: tuple, a: float, b: float) -> tuple[bool, float, float]:
+    """Curve ``c`` on ``(a, b)``: ``(True, p, x)`` for a line, ``(False, slope, r)`` for its parabola."""
+    pa, xa, pb, xb, lo, hi, r, slope = c
+    if b <= lo:
+        return True, pa, xa
+    if a >= hi:
+        return True, pb, xb
+    return False, slope, r
 
 
 # --------------------------------------------------------------------------

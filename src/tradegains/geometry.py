@@ -97,8 +97,12 @@ def decompose_fixed_v(v: float, seller: Distribution, lam: float) -> Decompositi
     """
     lam = _check_lambda(lam)
     v = _check_value(v)
+    return _decompose(v, seller, lam, buyer_best_response(v, seller).utility)
+
+
+def _decompose(v: float, seller: Distribution, lam: float, u_b_opt: float) -> Decomposition:
+    """:func:`decompose_fixed_v` on checked arguments, with ``u_B_opt`` given."""
     x_v = seller.cdf(v)
-    u_b_opt = buyer_best_response(v, seller).utility
     if x_v <= 0.0:
         b = seller.quantile(0.0)
         return Decomposition(
@@ -328,9 +332,12 @@ def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lam: float) ->
 
     @functools.cache
     def dec(v: float) -> Decomposition:
-        return decompose_fixed_v(v, seller, lam)
+        # no bound reads u_B_opt, so the best response is not computed
+        return _decompose(v, seller, lam, math.nan)
 
-    breaks = _decomposition_breakpoints(seller, lam)
+    breaks: list[float] = []
+    if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
+        breaks = _decomposition_breakpoints(seller, lam)
     mean_area_a = expect(buyer, lambda v: dec(v).area_A, breaks)
     mean_u_s_geom = expect(buyer, lambda v: dec(v).u_S_geom, breaks)
 

@@ -97,7 +97,8 @@ def _check_value(v: float) -> float:
 # the objective is quadratic on each strictly increasing CDF segment, so the
 # candidates are the knot values plus each segment's stationary point
 # (``Distribution.stationary_segments``) while it stays inside the segment,
-# which also keeps it at or below v.
+# which also keeps it at or below v. The opponent's ``buyer_envelope`` says
+# which few of them can win at each buyer value.
 
 
 def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
@@ -107,25 +108,24 @@ def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
     price. When no offer can trade (``v`` below the seller's support) the
     buyer quotes his own value and keeps utility zero. A non-finite ``v``
     raises :class:`DomainError`.
+
+    Only the envelope entry on top at ``v`` and its two neighbours are
+    scored, so rounding in the envelope's starts cannot drop the winner.
     """
     v = _check_value(v)
-    knots = seller.knot_values()
-    prices = list(knots[: bisect.bisect_right(knots, v)])
-    for lo, hi, _, r in seller.stationary_segments:
+    env = seller.buyer_envelope
+    i = bisect.bisect_right(env.starts, v)  # entry i - 1 is on top
+    keys = []  # (utility, trade probability, -price) per candidate
+    for fixed, lo, hi, r in env.entries[max(i - 2, 0) : i + 1]:
+        keys += [((v - p) * x, x, -p) for p, x in fixed if p <= v]
         if lo <= v <= hi:
-            prices.append(0.5 * (v - r))
-    best_key = None
-    best = None
-    for p in prices:
-        x = seller.cdf(p)
-        u = (v - p) * x
-        key = (u, x, -p)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = BestResponse(price=p, utility=u, trade_prob=x)
-    if best is None:
+            p = 0.5 * (v - r)
+            x = seller.cdf(p)
+            keys.append(((v - p) * x, x, -p))
+    if not keys:
         return BestResponse(price=v, utility=0.0, trade_prob=0.0)
-    return best
+    u, x, neg_p = max(keys)
+    return BestResponse(price=-neg_p, utility=u, trade_prob=x)
 
 
 def seller_best_response(c: float, buyer: Distribution) -> BestResponse:
@@ -141,53 +141,21 @@ def seller_best_response(c: float, buyer: Distribution) -> BestResponse:
 
 # --------------------------------------------------------------------------
 # breakpoints of the best-response map
-#
-# As the proposer's type w varies, each candidate's utility is linear
-# (fixed price) or quadratic (per-segment stationary point) in w. The best
-# response can only switch where two candidate curves cross or where a
-# stationary point enters/leaves its segment; collecting all those w values
-# makes every quantity integrated over the type prior piecewise-polynomial.
-
-
-def _quad_roots(a: float, b: float, c: float) -> tuple[float, ...]:
-    if a == 0.0:
-        if b == 0.0:
-            return ()
-        return (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return ()
-    s = math.sqrt(disc)
-    return ((-b - s) / (2.0 * a), (-b + s) / (2.0 * a))
-
-
-def _crossings(curves: list[tuple[float, float, float]]) -> list[float]:
-    roots: list[float] = []
-    for i in range(len(curves)):
-        a1, b1, c1 = curves[i]
-        for j in range(i + 1, len(curves)):
-            a2, b2, c2 = curves[j]
-            for w in _quad_roots(a1 - a2, b1 - b2, c1 - c2):
-                if math.isfinite(w):
-                    roots.append(w)
-    return roots
 
 
 def buyer_response_breakpoints(seller: Distribution) -> list[float]:
-    """Buyer values where the buyer's best-response formula may switch."""
-    curves: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)]
-    bounds: set[float] = set()
-    for p0 in seller.knot_values():
-        x0 = seller.cdf(p0)
-        curves.append((0.0, x0, -p0 * x0))
-        bounds.add(p0)
-    for lo, hi, slope, r in seller.stationary_segments:
-        # utility of the stationary price: 0.25 * slope * (w + r)^2
-        curves.append((0.25 * slope, 0.5 * slope * r, 0.25 * slope * r * r))
-        bounds.add(lo)
-        bounds.add(hi)
-    bounds.update(_crossings(curves))
-    return sorted(b for b in bounds if math.isfinite(b))
+    """Buyer values where the buyer's best-response formula may switch.
+
+    These are where an envelope entry takes over, the seller's support
+    minimum (below it no offer trades) and the ends of every stationary
+    price's validity, so every quantity integrated over the buyer prior is
+    polynomial between them.
+    """
+    breaks = set(seller.buyer_envelope.starts[1:])
+    breaks.add(seller.support_min)
+    for lo, hi, _, _ in seller.stationary_segments:
+        breaks.update((lo, hi))
+    return sorted(b for b in breaks if math.isfinite(b))
 
 
 def seller_response_breakpoints(buyer: Distribution) -> list[float]:

@@ -60,8 +60,12 @@ def _estimate(samples: np.ndarray, seed: int) -> SimEstimate:
         return SimEstimate(mean=0.0, stderr=0.0, trials=0, seed=seed)
     mean = float(np.sum(samples) / n)
     if n > 1:
-        var = float(np.sum((samples - mean) ** 2) / (n - 1))
-        stderr = math.sqrt(max(var, 0.0) / n)
+        # deviations scaled into [0.5, 1) by a power of two, which is exact,
+        # so their squares neither overflow at huge values nor vanish at tiny ones
+        dev = samples - mean
+        k = math.frexp(float(np.max(np.abs(dev))))[1]
+        var = float(np.sum(np.ldexp(dev, -k) ** 2) / (n - 1))
+        stderr = math.ldexp(math.sqrt(max(var, 0.0) / n), k)
     else:
         stderr = 0.0
     return SimEstimate(mean=mean, stderr=stderr, trials=n, seed=seed)
@@ -91,25 +95,32 @@ def simulate_fb(instance: TradeInstance, trials: int, seed: int) -> SimEstimate:
 
 
 def _buyer_prices(values: np.ndarray, seller: Distribution) -> np.ndarray:
-    price_cols: list[np.ndarray] = []
-    valid_cols: list[np.ndarray] = []
-    n = values.size
-    for p0 in seller.knot_values():
-        price_cols.append(np.full(n, p0))
-        valid_cols.append(p0 <= values)
-    for lo, hi, _, r in seller.stationary_segments:
-        price_cols.append(0.5 * (values - r))
-        valid_cols.append((lo <= values) & (values <= hi))
-    prices = np.stack(price_cols, axis=1)
-    valid = np.stack(valid_cols, axis=1)
-    trade = seller.cdf_many(prices.ravel()).reshape(prices.shape)
-    utility = np.where(valid, (values[:, None] - prices) * trade, -np.inf)
-    best_u = utility.max(axis=1)
-    tie_u = utility == best_u[:, None]
-    trade_masked = np.where(tie_u, trade, -np.inf)
-    best_t = trade_masked.max(axis=1)
-    neg_price = np.where(tie_u & (trade == best_t[:, None]), -prices, -np.inf)
-    best = -neg_price.max(axis=1)
+    """Best-response prices of ``values`` over the envelope entries around each value.
+
+    Each entry offers one price per value: a knot its own, a segment its
+    stationary price inside ``[lo, hi]`` and its end knot outside it. The
+    arrays are laid out one row per window entry, so every operation runs
+    along the values.
+    """
+    env = seller.buyer_envelope
+    lo, hi, r, below, above = (
+        np.asarray(col)
+        for col in zip(*((lo, hi, r, fixed[0][0], fixed[-1][0]) for fixed, lo, hi, r in env.entries))
+    )
+    # the entry on top and its neighbours, at most as many as there are entries
+    width = min(3, lo.size)
+    top = np.searchsorted(np.asarray(env.starts), values, side="right") - 1
+    rows = np.clip(top - 1, 0, lo.size - width) + np.arange(width)[:, None]
+    lo, hi, r, below, above = (np.take(col, rows) for col in (lo, hi, r, below, above))
+    arc = (lo <= values) & (values <= hi)
+    prices = np.where(values < lo, below, np.where(values > hi, above, 0.5 * (values - r)))
+    valid = arc | (prices <= values)
+    trade = seller.cdf_many(prices)
+    utility = np.where(valid, (values - prices) * trade, -np.inf)
+    best_u = utility.max(axis=0)
+    tie_u = utility == best_u
+    best_t = np.where(tie_u, trade, -np.inf).max(axis=0)
+    best = -np.where(tie_u & (trade == best_t), -prices, -np.inf).max(axis=0)
     return np.where(np.isfinite(best_u), best, values)
 
 
@@ -149,8 +160,8 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
     ``u_buyer``/``u_seller`` are proposer utilities conditioned on the
     respective agent proposing (their trial counts add up to ``trials``).
     For a discrete proposer prior the best-response price is solved once
-    per atom and looked up by the sampled type; otherwise prices are
-    optimized per sample over the scalar path's candidates. The seller
+    per atom and looked up by the sampled type; otherwise each sample's
+    price is chosen among the opponent's envelope entries around it. The seller
     proposes as the buyer of the role-swapped instance.
     """
     trials = _check_trials(trials)

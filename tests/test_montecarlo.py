@@ -1,8 +1,13 @@
 """Simulation oracle: determinism, partition independence, convergence."""
 
+import json
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import tradegains.cli as cli
 import tradegains.montecarlo as mc
 from tradegains import (
     DiscreteDistribution,
@@ -17,7 +22,7 @@ from tradegains import (
     uniform,
 )
 
-from conftest import random_discrete_instance, random_pwl
+from conftest import random_discrete, random_discrete_instance, random_pwl
 
 UU = TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1))
 P1U = TradeInstance(buyer=point(1.0), seller=uniform(0, 1))
@@ -119,3 +124,42 @@ def test_trials_domain():
         simulate_fb(UU, 0, 1)
     with pytest.raises(DomainError):
         simulate_mechanism(UU, -5, 1)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _floats(payload):
+    if isinstance(payload, dict):
+        for key in sorted(payload):
+            yield from _floats(payload[key])
+    elif isinstance(payload, float):
+        yield payload
+
+
+@pytest.mark.parametrize("k", (900, -900, 300))
+def test_simulate_scales_by_powers_of_two(k, tmp_path, capsys):
+    # multiplying every value by 2**k is exact, so every printed float must
+    # be the unit-scale one times 2**k, with no overflow or underflow in the
+    # standard errors
+    rng = np.random.default_rng(17)
+    buyer, seller = random_pwl(rng, 6), random_discrete(rng, 5)
+    outputs = []
+    for scale in (1.0, 2.0**k):
+        instance = {
+            "buyer": {"kind": "pwl", "knots": [[q, v * scale] for q, v in zip(buyer.qs, buyer.vals)]},
+            "seller": {"kind": "discrete", "atoms": [[v * scale, p] for v, p in zip(seller.values, seller.probs)]},
+        }
+        path = tmp_path / f"scaled-{scale!r}.json"
+        path.write_text(json.dumps(instance))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["simulate", "--instance", str(path), "--trials", "20000", "--seed", "3"]) == 0
+        outputs.append(list(_floats(_strict_json(capsys.readouterr().out))))
+    unit, scaled = outputs
+    assert len(unit) == 8 and all(x > 0.0 for x in unit)
+    assert scaled == [math.ldexp(x, k) for x in unit]
