@@ -809,9 +809,9 @@ def distribution_from_json(obj) -> Distribution:
 
 def expect(
     dist: Distribution,
-    fn: Callable[[float], float],
+    fn: Callable[[float], float | tuple[float, ...]],
     breakpoints: Sequence[float] = (),
-) -> float:
+) -> float | tuple[float, ...]:
     """Expectation ``E[fn(X)]`` for a piecewise-polynomial integrand.
 
     Over a discrete prior this is the exact atom sum and ``breakpoints`` is
@@ -821,9 +821,13 @@ def expect(
     each piece gets one fixed 7-point Gauss-Legendre rule, exact for
     polynomials up to degree 13. A kink or jump left undeclared is not
     detected; it costs accuracy on the piece that contains it.
+
+    ``fn`` runs once per node. It may return a tuple of floats; the result
+    is then the tuple of their expectations, each bit-identical to ``expect``
+    of that field alone.
     """
     if isinstance(dist, DiscreteDistribution):
-        return math.fsum(p * fn(v) for v, p in zip(dist.values, dist.probs))
+        return _weighted_fsum(dist.probs, [fn(v) for v in dist.values])
 
     cuts = set(dist.qs)
     for b in breakpoints:
@@ -833,12 +837,16 @@ def expect(
             cuts.add(dist.cdf(b))
     ts = sorted(t for t in cuts if 0.0 <= t <= 1.0)
 
-    def piece(a: float, b: float) -> float:
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        return half * math.fsum(
-            w * fn(dist.quantile(mid + half * x))
-            for x, w in zip(_GL_NODES, _GL_WEIGHTS)
-        )
+    spans = [(0.5 * (b - a), 0.5 * (a + b)) for a, b in zip(ts, ts[1:]) if b > a]
+    pieces = [
+        _weighted_fsum(_GL_WEIGHTS, [fn(dist.quantile(mid + half * x)) for x in _GL_NODES])
+        for half, mid in spans
+    ]
+    return _weighted_fsum([half for half, _ in spans], pieces)
 
-    return math.fsum(piece(a, b) for a, b in zip(ts, ts[1:]) if b > a)
+
+def _weighted_fsum(weights: Sequence[float], values: list) -> float | tuple[float, ...]:
+    """``math.fsum`` of ``w * f`` over paired weights and values, per field of tuple values."""
+    if values and isinstance(values[0], tuple):
+        return tuple(math.fsum(w * f for w, f in zip(weights, field)) for field in zip(*values))
+    return math.fsum(w * f for w, f in zip(weights, values))

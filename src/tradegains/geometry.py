@@ -24,7 +24,6 @@ best-response optimality of the equilibrium prices.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,17 +44,11 @@ from .mechanism import (
     buyer_response_breakpoints,
     equilibrium,
 )
+from .ratio import _check_lambda, _log_inverse
 
 #: Slack tolerance for the proven identities/inequalities, relative to
 #: max(1, magnitude).
 SLACK_TOL = 1e-9
-
-
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 < lam < 1.0 or math.isnan(lam):
-        raise DomainError(f"lambda must lie in (0, 1), got {lam!r}")
-    return lam
 
 
 @dataclass(frozen=True)
@@ -102,29 +95,29 @@ def decompose_fixed_v(v: float, seller: Distribution, lam: float) -> Decompositi
 
 def _decompose(v: float, seller: Distribution, lam: float, u_b_opt: float) -> Decomposition:
     """:func:`decompose_fixed_v` on checked arguments, with ``u_B_opt`` given."""
-    x_v = seller.cdf(v)
-    if x_v <= 0.0:
-        b = seller.quantile(0.0)
-        return Decomposition(
-            v=v, lam=lam, x_v=0.0, b_lambda=b, fb_v=0.0,
-            area_S=0.0, area_B=0.0, area_A=0.0,
-            u_S_geom=0.0, u_B_dev=0.0, u_B_opt=u_b_opt,
-        )
-    lx = lam * x_v
-    b = seller.quantile(lx)
-    cost_to_xv = seller.integrate_quantile(0.0, x_v)
-    cost_to_lx = seller.integrate_quantile(0.0, lx)
-    fb_v = v * x_v - cost_to_xv
-    area_s = seller.integrate_cdf(seller.support_min, b)
-    area_b = seller.integrate_cdf(b, v)
-    area_a = v * (x_v - lx) - (cost_to_xv - cost_to_lx)
-    u_s_geom = lam * cost_to_xv - cost_to_lx
-    u_b_dev = (v - b) * seller.cdf(b)
+    x_v, b, fb_v, area_a, u_s_geom = _quantile_fields(v, seller, lam)
+    area_s = area_b = u_b_dev = 0.0
+    if x_v > 0.0:
+        area_s = seller.integrate_cdf(seller.support_min, b)
+        area_b = seller.integrate_cdf(b, v)
+        u_b_dev = (v - b) * seller.cdf(b)
     return Decomposition(
         v=v, lam=lam, x_v=x_v, b_lambda=b, fb_v=fb_v,
         area_S=area_s, area_B=area_b, area_A=area_a,
         u_S_geom=u_s_geom, u_B_dev=u_b_dev, u_B_opt=u_b_opt,
     )
+
+
+def _quantile_fields(v: float, seller: Distribution, lam: float) -> tuple[float, ...]:
+    """``(x_v, b_lambda, fb_v, area_A, u_S_geom)``: the decomposition with no ``integrate_cdf``."""
+    x_v = seller.cdf(v)
+    if x_v <= 0.0:
+        return 0.0, seller.quantile(0.0), 0.0, 0.0, 0.0
+    lx = lam * x_v
+    cost_to_xv = seller.integrate_quantile(0.0, x_v)
+    cost_to_lx = seller.integrate_quantile(0.0, lx)
+    area_a = v * (x_v - lx) - (cost_to_xv - cost_to_lx)
+    return x_v, seller.quantile(lx), v * x_v - cost_to_xv, area_a, lam * cost_to_xv - cost_to_lx
 
 
 def buyer_deviation_bound(v: float, seller: Distribution, lam: float) -> tuple[float, float]:
@@ -243,25 +236,15 @@ def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDec
     lam = _check_lambda(lam)
     buyer, seller = instance.buyer, instance.seller
 
-    @functools.cache
-    def dec(v: float) -> Decomposition:
-        return decompose_fixed_v(v, seller, lam)
+    def record(v: float) -> tuple[float, ...]:
+        d = decompose_fixed_v(v, seller, lam)
+        return d.fb_v, d.area_S, d.area_B, d.area_A, d.u_S_geom, d.u_B_dev, d.u_B_opt
 
     breaks = _decomposition_breakpoints(seller, lam)
     if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
         breaks += buyer_response_breakpoints(seller)
-    fields = ("fb_v", "area_S", "area_B", "area_A", "u_S_geom", "u_B_dev", "u_B_opt")
-    means = {f: expect(buyer, lambda v, f=f: getattr(dec(v), f), breaks) for f in fields}
-    return AggregateDecomposition(
-        lam=lam,
-        fb=means["fb_v"],
-        area_S=means["area_S"],
-        area_B=means["area_B"],
-        area_A=means["area_A"],
-        u_S_geom=means["u_S_geom"],
-        u_B_dev=means["u_B_dev"],
-        u_B_opt=means["u_B_opt"],
-    )
+    # the record's fields follow AggregateDecomposition's after lam
+    return AggregateDecomposition(lam, *expect(buyer, record, breaks))
 
 
 # --------------------------------------------------------------------------
@@ -328,25 +311,27 @@ def sweep_bounds(instance: TradeInstance, lams) -> list[BoundReport]:
 
 def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lam: float) -> BoundReport:
     buyer, seller = instance.buyer, instance.seller
-    log_term = math.log(1.0 / lam)
+    log_term = _log_inverse(lam)
 
-    @functools.cache
-    def dec(v: float) -> Decomposition:
-        # no bound reads u_B_opt, so the best response is not computed
-        return _decompose(v, seller, lam, math.nan)
+    # full decompositions at the probe values, which include every atom of a
+    # discrete buyer; no bound reads u_B_opt, so no best response is computed
+    probes = {v: _decompose(v, seller, lam, math.nan) for v in _probe_values(buyer)}
+
+    def record(v: float) -> tuple[float, float]:
+        d = probes.get(v)
+        if d is not None:
+            return d.area_A, d.u_S_geom
+        return _quantile_fields(v, seller, lam)[3:]
 
     breaks: list[float] = []
     if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
         breaks = _decomposition_breakpoints(seller, lam)
-    mean_area_a = expect(buyer, lambda v: dec(v).area_A, breaks)
-    mean_u_s_geom = expect(buyer, lambda v: dec(v).u_S_geom, breaks)
+    mean_area_a, mean_u_s_geom = expect(buyer, record, breaks)
 
-    buyer_scale_min = math.inf
-    seller_scale_min = math.inf
-    for v in _probe_values(buyer):
-        d = dec(v)
-        buyer_scale_min = min(buyer_scale_min, d.u_B_dev - lam * d.area_B)
-        seller_scale_min = min(seller_scale_min, d.u_S_geom - (1.0 - lam) * d.area_S)
+    # seeded with inf and taken in probe order, so a NaN term is skipped
+    decs = probes.values()
+    buyer_scale_min = min([math.inf] + [d.u_B_dev - lam * d.area_B for d in decs])
+    seller_scale_min = min([math.inf] + [d.u_S_geom - (1.0 - lam) * d.area_S for d in decs])
 
     slacks = {
         "identity": mean_u_s_geom + mean_area_a - (1.0 - lam) * eq.fb,

@@ -21,7 +21,6 @@ of :func:`role_swap` of the instance, with prices negated back.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -167,6 +166,13 @@ def seller_response_breakpoints(buyer: Distribution) -> list[float]:
 # headline quantities
 
 
+def _trade_surplus(v: float, seller: Distribution, x: float) -> float:
+    """Surplus ``v * x - integral of c(q) over [0, x]`` of trading quantiles ``[0, x]`` at ``v``."""
+    if x <= 0.0:
+        return 0.0
+    return v * x - seller.integrate_quantile(0.0, x)
+
+
 def first_best(instance: TradeInstance) -> float:
     """Expected surplus of the omniscient benchmark, ``E[(v - c)^+]``.
 
@@ -174,35 +180,22 @@ def first_best(instance: TradeInstance) -> float:
     to x(v)``; the outer expectation over the buyer prior is exact.
     """
     seller = instance.seller
-
-    def conditional(v: float) -> float:
-        x = seller.cdf(v)
-        if x <= 0.0:
-            return 0.0
-        return v * x - seller.integrate_quantile(0.0, x)
-
-    return expect(instance.buyer, conditional, breakpoints=seller.knot_values())
+    return expect(
+        instance.buyer, lambda v: _trade_surplus(v, seller, seller.cdf(v)), seller.knot_values()
+    )
 
 
 def _buyer_proposer_side(buyer: Distribution, seller: Distribution) -> tuple[float, float]:
     """(expected proposer utility, expected GFT) when the buyer proposes."""
 
-    @functools.cache
-    def br(v: float) -> BestResponse:
-        return buyer_best_response(v, seller)
-
-    def gft_cond(v: float) -> float:
-        x = br(v).trade_prob
-        if x <= 0.0:
-            return 0.0
-        return v * x - seller.integrate_quantile(0.0, x)
+    def record(v: float) -> tuple[float, float]:
+        r = buyer_best_response(v, seller)
+        return r.utility, _trade_surplus(v, seller, r.trade_prob)
 
     breaks: list[float] = []
     if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
         breaks = buyer_response_breakpoints(seller)
-    u = expect(buyer, lambda v: br(v).utility, breaks)
-    gft = expect(buyer, gft_cond, breaks)
-    return u, gft
+    return expect(buyer, record, breaks)
 
 
 def equilibrium(instance: TradeInstance) -> EquilibriumReport:

@@ -20,15 +20,26 @@ from .mechanism import equilibrium  # noqa: F401  # unused, kept: traced benchma
 MARGIN_TOL = 1e-9
 
 
+def _check_lambda(lam: float) -> float:
+    lam = float(lam)
+    if not 0.0 < lam < 1.0 or math.isnan(lam):
+        raise DomainError(f"lambda must lie in (0, 1), got {lam!r}")
+    return lam
+
+
+def _log_inverse(lam: float) -> float:
+    """``ln(1/lambda)``, finite also for a subnormal ``lambda``, where ``1/lambda`` overflows."""
+    inverse = 1.0 / lam
+    return math.log(inverse) if math.isfinite(inverse) else -math.log(lam)
+
+
 def ratio_bound(lam: float) -> float:
     """Proven worst-case ratio ``(1 + ln(1/lambda)) / (1 - lambda)``.
 
     Diverges at both endpoints, so the domain is the open interval (0, 1).
     """
-    lam = float(lam)
-    if not 0.0 < lam < 1.0 or math.isnan(lam):
-        raise DomainError(f"lambda must lie in (0, 1), got {lam!r}")
-    return (1.0 + math.log(1.0 / lam)) / (1.0 - lam)
+    lam = _check_lambda(lam)
+    return (1.0 + _log_inverse(lam)) / (1.0 - lam)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI: dispatch, exit codes, deterministic serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -170,6 +171,27 @@ def test_sweep_minimal_ratio_bound_at_reported_lambda(capsys, uu_path):
     assert code == 0
     best = min(rows, key=lambda r: r["ratio_bound"])
     assert best["lambda"] == pytest.approx(0.31784, abs=1e-12)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("lam", ["5e-324", "1e-310"])
+def test_subnormal_lambda_prints_strict_json(capsys, uu_path, lam):
+    # ln(1/lambda) must not go through 1/lambda, which overflows to inf here
+    assert cli.run(["verify", "--instance", uu_path, "--lambda", lam]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["slacks"]["area_log"] > 0.0
+    assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", f"{lam}:{lam}:1"]) == 0
+    (row,) = _strict_json(capsys.readouterr().out)
+    assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", f"{lam}:{lam}:1", "--format", "csv"]) == 0
+    cells = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert all(math.isfinite(float(cell)) for cell in cells)
+    assert row["ratio_bound"] == float(cells[cli.SWEEP_COLUMNS.index("ratio_bound")])
 
 
 def test_cli_outputs_are_byte_identical(capsys, uu_path):

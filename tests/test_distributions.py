@@ -371,3 +371,39 @@ def test_expect_integrates_each_piece_once():
     calls = []
     expect(d, lambda v: calls.append(v) or v, breakpoints=[-1.0, 0.5, 1.0, 5.0])
     assert len(calls) == 4 * 7
+
+
+def _record(v):
+    # three fields with different kinks, jumps and magnitudes
+    return (v * v - 0.3 * v, max(v - 0.45, 0.0), 1.0 if v >= 0.5 else math.exp(v))
+
+
+@pytest.mark.parametrize(
+    "dist, breakpoints",
+    [
+        (random_discrete(np.random.default_rng(7), max_atoms=12), [0.45, 0.5]),
+        # atom at 0.5 (flat run); breakpoints inside the support and outside it
+        (
+            PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)]),
+            [-1.0, 0.45, 0.5, 1.0, 5.0],
+        ),
+    ],
+    ids=["discrete", "pwl"],
+)
+def test_expect_record_matches_separate_scalar_calls(dist, breakpoints):
+    fields = expect(dist, _record, breakpoints)
+    assert isinstance(fields, tuple) and len(fields) == 3
+    for i, got in enumerate(fields):
+        alone = expect(dist, lambda v: _record(v)[i], breakpoints)
+        assert got.hex() == alone.hex()
+
+
+def test_expect_record_runs_once_per_node():
+    # the pieces of test_expect_integrates_each_piece_once
+    d = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)])
+    calls = []
+    expect(d, lambda v: calls.append(v) or _record(v), breakpoints=[-1.0, 0.5, 1.0, 5.0])
+    assert len(calls) == 4 * 7
+    calls.clear()
+    expect(COIN, lambda v: calls.append(v) or _record(v))
+    assert calls == list(COIN.values)

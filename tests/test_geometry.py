@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import tradegains.geometry as geometry
 from tradegains import (
     DiscreteDistribution,
     DomainError,
+    PiecewiseLinearDistribution,
     TradeInstance,
     aggregate_decomposition,
     buyer_best_response,
@@ -296,3 +298,23 @@ def test_verify_bounds_on_corpus(corpus_small):
 def test_verify_bounds_lambda_domain():
     with pytest.raises(DomainError):
         verify_bounds(UU, 1.0)
+
+
+@pytest.mark.parametrize("seller", [U01, COIN], ids=["pwl", "discrete"])
+def test_verify_bounds_integrates_cdf_only_at_probe_values(monkeypatch, seller):
+    # a decomposition's price-space fields take two integrate_cdf calls,
+    # (support_min, b) then (b, v); the quadrature nodes of E[area_A] and
+    # E[u_S_geom] need only its quantile-space fields
+    buyer = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.3, 0.4), (0.6, 0.4), (1.0, 1.5)])
+    calls = []
+    original = type(seller).integrate_cdf
+
+    def spy(self, p0, p1):
+        calls.append((p0, p1))
+        return original(self, p0, p1)
+
+    monkeypatch.setattr(type(seller), "integrate_cdf", spy)
+    verify_bounds(TradeInstance(buyer=buyer, seller=seller), 0.31784)
+    probes = set(geometry._probe_values(buyer))
+    assert calls and len(calls) <= 2 * len(probes)
+    assert {v for _, v in calls[1::2]} <= probes

@@ -37,6 +37,16 @@ def test_ratio_bound_divergence():
     assert ratio_bound(1.0 - 1e-6) > 1e5
 
 
+def test_ratio_bound_at_subnormal_lambda():
+    # 1/lambda overflows below 2**-1024; ln(1/lambda) = -ln(lambda) does not
+    for lam in (5e-324, 1e-310, 2.0**-1024):
+        assert ratio_bound(lam) == (1.0 - math.log(lam)) / (1.0 - lam)
+    assert math.isfinite(ratio_bound(5e-324))
+    # every normal lambda keeps the 1/lambda form bit for bit
+    for lam in (2.0**-1022, 1e-300, 1e-6, 0.31784, 0.5, 0.999):
+        assert ratio_bound(lam) == (1.0 + math.log(1.0 / lam)) / (1.0 - lam)
+
+
 def test_optimize_lambda_reproduces_reported_optimum():
     opt = optimize_lambda(1e-12)
     assert opt.lambda_star == pytest.approx(0.31784, abs=1e-4)
