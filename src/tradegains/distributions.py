@@ -49,6 +49,15 @@ def _check_prob_arg(q: float, name: str = "q") -> float:
     return q
 
 
+def _check_unit_many(u: np.ndarray) -> np.ndarray:
+    """``u`` as a float array, every entry in [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    # written so that a NaN fails too
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise DomainError("all u must lie in [0, 1)")
+    return u
+
+
 class Distribution:
     """Common interface of the two prior representations.
 
@@ -145,10 +154,7 @@ class Distribution:
         raise NotImplementedError
 
     def sample_many(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.size and (u.min() < 0.0 or u.max() >= 1.0):
-            raise DomainError("all u must lie in [0, 1)")
-        return self.quantile_many(u)
+        return self.quantile_many(_check_unit_many(u))
 
 
 @dataclass(frozen=True, eq=True)
@@ -271,11 +277,20 @@ class DiscreteDistribution(Distribution):
             "atoms": [{"value": v, "prob": p} for v, p in zip(self.values, self.probs)],
         }
 
-    def quantile_many(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
+    def _atom_indices(self, q: np.ndarray) -> np.ndarray:
+        """Index of the atom ``quantile`` returns at each ``q``."""
         idx = np.searchsorted(self._cum_arr, q, side="left")
-        idx = np.minimum(idx, len(self.values) - 1)
-        return self._values_arr[idx]
+        return np.minimum(idx, len(self.values) - 1)
+
+    def quantile_many(self, q: np.ndarray) -> np.ndarray:
+        return self._values_arr[self._atom_indices(np.asarray(q, dtype=float))]
+
+    def sample_indices_many(self, u: np.ndarray) -> np.ndarray:
+        """Atom indices of the inverse-transform samples at ``u`` in [0, 1).
+
+        ``values[i]`` at these indices is ``sample_many(u)``.
+        """
+        return self._atom_indices(_check_unit_many(u))
 
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -743,6 +758,9 @@ def _normalize_knots(knots) -> tuple[list[str], tuple | None]:
     for i in range(1, len(qs)):
         if qs[i] <= qs[i - 1]:
             problems.append(f"knot {i}: q={qs[i]!r} not strictly above q={qs[i - 1]!r}")
+        elif 1.0 - qs[i] >= 1.0 - qs[i - 1]:
+            # negate mirrors the grid to 1 - q, which must stay strictly increasing
+            problems.append(f"knot {i}: q={qs[i]!r} and q={qs[i - 1]!r} coincide once mirrored to 1 - q")
         if vals[i] < vals[i - 1]:
             problems.append(f"knot {i}: quantile not monotone ({vals[i]!r} < {vals[i - 1]!r})")
     if problems:

@@ -346,12 +346,13 @@ def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lam: float) ->
         slacks["quarter"] = eq.gft - eq.fb / 4.0
 
     tol = SLACK_TOL * max(1.0, abs(eq.fb))
-    if abs(slacks["identity"]) > tol:
+    # written so that a NaN slack fails too
+    if not abs(slacks["identity"]) <= tol:
         raise InvariantViolation(
             f"identity slack {slacks['identity']!r} exceeds tolerance {tol!r}"
         )
     for name, slack in slacks.items():
-        if name != "identity" and slack < -tol:
+        if name != "identity" and not slack >= -tol:
             raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
 
     return BoundReport(

@@ -35,10 +35,22 @@ from .errors import DomainError, ValidationError
 
 @dataclass(frozen=True)
 class TradeInstance:
-    """Independent buyer-value and seller-cost priors (product data model)."""
+    """Independent buyer-value and seller-cost priors (product data model).
+
+    The span of values over both priors must be a finite float, so that
+    every surplus ``v - c`` is; otherwise :class:`ValidationError`.
+    """
 
     buyer: Distribution
     seller: Distribution
+
+    def __post_init__(self):
+        lo = min(self.buyer.support_min, self.seller.support_min)
+        hi = max(self.buyer.support_max, self.seller.support_max)
+        if not math.isfinite(hi - lo):
+            raise ValidationError(
+                [f"the value span {lo!r} .. {hi!r} of the two priors overflows a float"]
+            )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ Randomness is counter-based: draw ``k`` of trial ``t`` is a pure hash of
 bit-identical for identical inputs no matter how trials are chunked or
 scheduled. Estimates use a single pairwise-summation reduction over the
 per-trial values, which is likewise independent of the partitioning.
+
+One pass of draws feeds every estimate: each trial's buyer value and seller
+cost are sampled once, and both the first best ``(v - c)^+`` and the
+mechanism's outcome are read off them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,15 @@ def _estimate(samples: np.ndarray, seed: int) -> SimEstimate:
     n = int(samples.size)
     if n == 0:
         return SimEstimate(mean=0.0, stderr=0.0, trials=0, seed=seed)
-    mean = float(np.sum(samples) / n)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(samples))
+    if math.isfinite(total):
+        mean = total / n
+    else:
+        # the plain sum overflowed: sum on the power-of-two scale of the
+        # largest sample instead, which is exact
+        k = math.frexp(float(np.max(np.abs(samples))))[1]
+        mean = math.ldexp(float(np.sum(np.ldexp(samples, -k))) / n, k)
     if n > 1:
         # deviations scaled into [0.5, 1) by a power of two, which is exact,
         # so their squares neither overflow at huge values nor vanish at tiny ones
@@ -76,18 +88,6 @@ def _check_trials(trials: int) -> int:
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
     return trials
-
-
-def simulate_fb(instance: TradeInstance, trials: int, seed: int) -> SimEstimate:
-    """Monte Carlo estimate of the first best, ``E[(v - c)^+]``."""
-    trials = _check_trials(trials)
-    parts = []
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        v = instance.buyer.sample_many(_uniforms(seed, start, count, 1))
-        c = instance.seller.sample_many(_uniforms(seed, start, count, 2))
-        parts.append(np.maximum(v - c, 0.0))
-    return _estimate(np.concatenate(parts), seed)
 
 
 # --------------------------------------------------------------------------
@@ -124,14 +124,52 @@ def _buyer_prices(values: np.ndarray, seller: Distribution) -> np.ndarray:
     return np.where(np.isfinite(best_u), best, values)
 
 
+def _atom_prices(buyer: DiscreteDistribution, seller: Distribution) -> np.ndarray:
+    """Best-response price of each buyer atom, in atom order."""
+    return np.asarray([buyer_best_response(v, seller).price for v in buyer.values])
+
+
 def _proposer_prices(
-    buyer: Distribution, seller: Distribution
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized best-response prices of buyer values proposing against ``seller``."""
+    instance: TradeInstance,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Vectorized best-response prices of the buyer and of the seller as proposers.
+
+    Each takes the keys :func:`_draw` returns with the types. A discrete
+    proposer's prices are solved once per atom and looked up by atom index;
+    otherwise each type's price is chosen among the opponent's envelope
+    entries around it. The seller proposes as the buyer of the role-swapped
+    instance, whose atoms are hers reversed and negated, so her table is
+    that one reversed and negated back; negation is exact.
+    """
+    buyer, seller = instance.buyer, instance.seller
+    swapped = role_swap(instance)
+
     if isinstance(buyer, DiscreteDistribution):
-        table = np.asarray([buyer_best_response(v, seller).price for v in buyer.values])
-        return lambda values: table[np.searchsorted(buyer._values_arr, values)]
-    return lambda values: _buyer_prices(values, seller)
+        price_b = _atom_prices(buyer, seller).__getitem__
+    else:
+        def price_b(values):
+            return _buyer_prices(values, seller)
+
+    if isinstance(seller, DiscreteDistribution):
+        price_s = (-_atom_prices(swapped.buyer, swapped.seller)[::-1]).__getitem__
+    else:
+        def price_s(costs):
+            return -_buyer_prices(-costs, swapped.seller)
+
+    return price_b, price_s
+
+
+def _draw(dist: Distribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Types sampled at ``u`` and the keys their proposer prices are looked up by.
+
+    The keys are the atom indices for a discrete prior and the types
+    themselves otherwise.
+    """
+    if isinstance(dist, DiscreteDistribution):
+        idx = dist.sample_indices_many(u)
+        return dist._values_arr[idx], idx
+    values = dist.sample_many(u)
+    return values, values
 
 
 @dataclass(frozen=True)
@@ -143,6 +181,8 @@ class MechanismSimReport:
     u_seller: SimEstimate
     trials: int
     seed: int
+    #: first best ``E[(v - c)^+]`` over the same draws; not part of ``to_json``
+    fb: SimEstimate
 
     def to_json(self) -> dict:
         return {
@@ -159,40 +199,40 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
 
     ``u_buyer``/``u_seller`` are proposer utilities conditioned on the
     respective agent proposing (their trial counts add up to ``trials``).
-    For a discrete proposer prior the best-response price is solved once
-    per atom and looked up by the sampled type; otherwise each sample's
-    price is chosen among the opponent's envelope entries around it. The seller
-    proposes as the buyer of the role-swapped instance.
+    ``fb`` estimates the first best from the same sampled types. For a
+    discrete proposer prior the best-response price is solved once per atom
+    and looked up by the sampled atom; otherwise each sample's price is
+    chosen among the opponent's envelope entries around it.
     """
     trials = _check_trials(trials)
-    buyer, seller = instance.buyer, instance.seller
+    price_b, price_s = _proposer_prices(instance)
 
-    price_b = _proposer_prices(buyer, seller)
-    swapped = role_swap(instance)
-    price_s = _proposer_prices(swapped.buyer, swapped.seller)
-
-    gft_parts, ub_parts, us_parts = [], [], []
+    fb_parts, gft_parts, ub_parts, us_parts = [], [], [], []
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
         coin = _uniforms(seed, start, count, 0)
-        v = buyer.sample_many(_uniforms(seed, start, count, 1))
-        c = seller.sample_many(_uniforms(seed, start, count, 2))
-        buyer_side = coin < 0.5
+        v, key_v = _draw(instance.buyer, _uniforms(seed, start, count, 1))
+        c, key_c = _draw(instance.seller, _uniforms(seed, start, count, 2))
+        fb_parts.append(np.maximum(v - c, 0.0))
+        # trial indices of each proposer: gathering by index is several
+        # times faster than by a boolean mask with random entries
+        buyer_side = np.flatnonzero(coin < 0.5)
+        seller_side = np.flatnonzero(coin >= 0.5)
 
         gft = np.zeros(count)
 
         vb, cb = v[buyer_side], c[buyer_side]
         if vb.size:
-            pb = price_b(vb)
+            pb = price_b(key_v[buyer_side])
             accept = cb <= pb
             gft[buyer_side] = np.where(accept, vb - cb, 0.0)
             ub_parts.append(np.where(accept, vb - pb, 0.0))
 
-        vs, cs = v[~buyer_side], c[~buyer_side]
+        vs, cs = v[seller_side], c[seller_side]
         if vs.size:
-            ps = -price_s(-cs)
+            ps = price_s(key_c[seller_side])
             accept = vs >= ps
-            gft[~buyer_side] = np.where(accept, vs - cs, 0.0)
+            gft[seller_side] = np.where(accept, vs - cs, 0.0)
             us_parts.append(np.where(accept, ps - cs, 0.0))
 
         gft_parts.append(gft)
@@ -204,4 +244,13 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
         u_seller=_estimate(np.concatenate(us_parts) if us_parts else empty, seed),
         trials=trials,
         seed=seed,
+        fb=_estimate(np.concatenate(fb_parts), seed),
     )
+
+
+def simulate_fb(instance: TradeInstance, trials: int, seed: int) -> SimEstimate:
+    """Monte Carlo estimate of the first best, ``E[(v - c)^+]``.
+
+    The ``fb`` of :func:`simulate_mechanism` at the same arguments.
+    """
+    return simulate_mechanism(instance, trials, seed).fb

@@ -106,6 +106,11 @@ def test_sample_examples():
         COIN.sample(1.0)
     with pytest.raises(DomainError):
         COIN.sample(-0.01)
+    for bad in (1.0, -0.01, math.nan):
+        u = np.array([0.5, bad])
+        for sample in (COIN.sample_many, COIN.sample_indices_many, uniform(0, 1).sample_many):
+            with pytest.raises(DomainError):
+                sample(u)
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +272,7 @@ def test_negate_mean(d):
 def test_equispaced_sampling_frequencies(d, n):
     u = (np.arange(n) + 0.5) / n
     samples = d.sample_many(u)
+    assert np.array_equal(np.asarray(d.values)[d.sample_indices_many(u)], samples)
     for v, p in zip(d.values, d.probs):
         freq = float(np.sum(samples == v)) / n
         assert abs(freq - p) <= 1.0 / n

@@ -1,5 +1,6 @@
 """Geometric decomposition: identities, deviation bounds, aggregate inequalities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import tradegains.geometry as geometry
 from tradegains import (
     DiscreteDistribution,
     DomainError,
+    InvariantViolation,
     PiecewiseLinearDistribution,
     TradeInstance,
     aggregate_decomposition,
@@ -293,6 +295,16 @@ def test_verify_bounds_on_corpus(corpus_small):
         reports = [verify_bounds(instance, lam) for lam in lams]
         assert sweep_bounds(instance, lams) == reports
         assert guarantee_check(reports[0]) == guarantee_check(equilibrium(instance))
+
+
+@pytest.mark.parametrize("field", ["u_buyer", "u_seller", "gft", "fb"])
+def test_bound_report_refuses_a_nan_slack(field):
+    # NaN compares false with everything, so a check written as
+    # ``slack < -tol`` would let it through
+    instance = random_discrete_instance(3)
+    eq = dataclasses.replace(equilibrium(instance), **{field: math.nan})
+    with pytest.raises(InvariantViolation):
+        geometry._bound_report(instance, eq, 0.31784)
 
 
 def test_verify_bounds_lambda_domain():

@@ -14,11 +14,14 @@ from tradegains import (
     DomainError,
     PiecewiseLinearDistribution,
     TradeInstance,
+    buyer_best_response,
     equilibrium,
     first_best,
     point,
+    seller_best_response,
     simulate_fb,
     simulate_mechanism,
+    trade_instance_to_json,
     uniform,
 )
 
@@ -119,6 +122,105 @@ def test_pwl_proposer_prices_match_scalar_path():
             assert vs[i] == seller_best_response(x, opponent).price
 
 
+def _reference_report(instance, trials, seed):
+    """Estimates from one chunk, pricing each discrete type by its scalar best response.
+
+    Independent of the atom-index lookup and of the role-swapped seller
+    table: a discrete proposer's price is keyed by its sampled value.
+    """
+    buyer, seller = instance.buyer, instance.seller
+    coin = mc._uniforms(seed, 0, trials, 0)
+    v = buyer.sample_many(mc._uniforms(seed, 0, trials, 1))
+    c = seller.sample_many(mc._uniforms(seed, 0, trials, 2))
+
+    def by_value(types, scalar):
+        unique, inverse = np.unique(types, return_inverse=True)
+        return np.asarray([scalar(x).price for x in unique.tolist()])[inverse]
+
+    b, s = coin < 0.5, coin >= 0.5
+    if isinstance(buyer, DiscreteDistribution):
+        pb = by_value(v[b], lambda x: buyer_best_response(x, seller))
+    else:
+        pb = mc._buyer_prices(v[b], seller)
+    if isinstance(seller, DiscreteDistribution):
+        ps = by_value(c[s], lambda x: seller_best_response(x, buyer))
+    else:
+        ps = -mc._buyer_prices(-c[s], buyer.negate())
+    gft = np.zeros(trials)
+    gft[b] = np.where(c[b] <= pb, v[b] - c[b], 0.0)
+    gft[s] = np.where(v[s] >= ps, v[s] - c[s], 0.0)
+    return {
+        "fb": mc._estimate(np.maximum(v - c, 0.0), seed).to_json(),
+        "mechanism": {
+            "gft": mc._estimate(gft, seed).to_json(),
+            "u_buyer": mc._estimate(np.where(c[b] <= pb, v[b] - pb, 0.0), seed).to_json(),
+            "u_seller": mc._estimate(np.where(v[s] >= ps, ps - c[s], 0.0), seed).to_json(),
+            "trials": trials,
+            "seed": seed,
+        },
+    }
+
+
+_ULP_ATOMS = DiscreteDistribution.from_atoms(
+    [(0.3, 0.25), (math.nextafter(0.3, 1.0), 0.25), (0.6, 0.2), (math.nextafter(0.6, 1.0), 0.3)]
+)
+_TINY_MASS = DiscreteDistribution.from_atoms([(0.1, 1e-300), (0.45, 0.5), (0.8, 0.5), (0.95, 1e-300)])
+_FLAT_RUNS = PiecewiseLinearDistribution.from_knots(
+    [(0.0, 0.0), (0.2, 0.3), (0.35, 0.3), (0.5, 0.55), (0.7, 0.55), (0.8, 0.55), (1.0, 1.0)]
+)
+SHARED_DRAW_INSTANCES = {
+    "discrete": random_discrete_instance(11),
+    "pwl": TradeInstance(buyer=random_pwl(np.random.default_rng(5), 7), seller=uniform(0.1, 0.9)),
+    "pwl-discrete": TradeInstance(buyer=random_pwl(np.random.default_rng(6), 5), seller=_ULP_ATOMS),
+    "discrete-pwl": TradeInstance(buyer=_ULP_ATOMS, seller=_FLAT_RUNS),
+    "flat-runs": TradeInstance(buyer=_FLAT_RUNS, seller=_FLAT_RUNS),
+    "near-duplicates": TradeInstance(
+        buyer=_ULP_ATOMS,
+        seller=DiscreteDistribution.from_atoms([(math.nextafter(0.3, 0.0), 0.5), (0.3, 0.2), (0.6, 0.3)]),
+    ),
+    "tiny-mass": TradeInstance(buyer=_TINY_MASS, seller=_TINY_MASS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_DRAW_INSTANCES))
+def test_simulate_prints_one_pass_of_draws(name, tmp_path, capsys, monkeypatch):
+    # the CLI's one simulate_mechanism call must print what the two library
+    # calls return, and both must equal a one-chunk reference that prices
+    # each sampled value by its scalar best response
+    monkeypatch.setattr(mc, "_CHUNK", 1 << 12)
+    trials, seed = mc._CHUNK + 5, 29
+    instance = SHARED_DRAW_INSTANCES[name]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(trade_instance_to_json(instance)))
+    assert cli.run(["simulate", "--instance", str(path), "--trials", str(trials), "--seed", str(seed)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    library = {
+        "fb": simulate_fb(instance, trials, seed).to_json(),
+        "mechanism": simulate_mechanism(instance, trials, seed).to_json(),
+    }
+    assert printed == library == _reference_report(instance, trials, seed)
+
+
+def test_simulate_draws_each_trial_once(tmp_path, capsys, monkeypatch):
+    # coin, buyer value and seller cost: three uniforms per chunk, shared by
+    # the first best and the mechanism
+    monkeypatch.setattr(mc, "_CHUNK", 1 << 12)
+    calls = []
+    uniforms = mc._uniforms
+
+    def counting(seed, start, count, draw):
+        calls.append((start, draw))
+        return uniforms(seed, start, count, draw)
+
+    monkeypatch.setattr(mc, "_uniforms", counting)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(trade_instance_to_json(SHARED_DRAW_INSTANCES["discrete"])))
+    chunks = 3
+    trials = 2 * mc._CHUNK + 1
+    assert cli.run(["simulate", "--instance", str(path), "--trials", str(trials), "--seed", "1"]) == 0
+    assert sorted(calls) == sorted((k * mc._CHUNK, draw) for k in range(chunks) for draw in range(3))
+
+
 def test_trials_domain():
     with pytest.raises(DomainError):
         simulate_fb(UU, 0, 1)
@@ -141,11 +243,11 @@ def _floats(payload):
         yield payload
 
 
-@pytest.mark.parametrize("k", (900, -900, 300))
+@pytest.mark.parametrize("k", (900, -900, 300, 1015))
 def test_simulate_scales_by_powers_of_two(k, tmp_path, capsys):
     # multiplying every value by 2**k is exact, so every printed float must
     # be the unit-scale one times 2**k, with no overflow or underflow in the
-    # standard errors
+    # standard errors; at 2**1015 the plain sum of the samples overflows
     rng = np.random.default_rng(17)
     buyer, seller = random_pwl(rng, 6), random_discrete(rng, 5)
     outputs = []
