@@ -49,6 +49,12 @@ def _check_prob_arg(q: float, name: str = "q") -> float:
     return q
 
 
+def _check_price_bounds(p0: float, p1: float) -> None:
+    # written so that a NaN fails too
+    if not p0 <= p1:
+        raise DomainError(f"integration bounds must satisfy p0 <= p1, got {p0!r}, {p1!r}")
+
+
 def _check_unit_many(u: np.ndarray) -> np.ndarray:
     """``u`` as a float array, every entry in [0, 1)."""
     u = np.asarray(u, dtype=float)
@@ -103,7 +109,8 @@ class Distribution:
 
         Computed directly in price space (horizontal orientation), not by
         change of variables, so it can serve as an independent counterpart
-        to :meth:`integrate_quantile`.
+        to :meth:`integrate_quantile`. Either bound may be infinite; a
+        ``DomainError`` unless ``p0 <= p1``, so a NaN bound is refused.
         """
         raise NotImplementedError
 
@@ -246,17 +253,36 @@ class DiscreteDistribution(Distribution):
             total -= self._integrate_quantile_to(q0)
         return total
 
-    def integrate_cdf(self, p0: float, p1: float) -> float:
-        if p0 > p1:
-            raise DomainError(f"inverted bounds: p0={p0!r} > p1={p1!r}")
-        # integral of the CDF equals E[(b - X)^+]; take the difference of
-        # the two upper limits atom by atom to stay exact
+    @cached_property
+    def _cdf_prefix(self) -> tuple[float, ...]:
+        """``integrate_cdf(values[0], values[i])`` at index ``i``, summed left to right."""
+        values, cum = self.values, self.cum
+        out = [0.0]
         total = 0.0
-        for v, p in zip(self.values, self.probs):
-            hi = p1 - v if p1 > v else 0.0
-            lo = p0 - v if p0 > v else 0.0
-            total += p * (hi - lo)
-        return total
+        for i in range(1, len(values)):
+            total += cum[i - 1] * (values[i] - values[i - 1])
+            out.append(total)
+        return tuple(out)
+
+    def _integrate_cdf_to(self, p: float) -> float:
+        """``integrate_cdf(values[0], p)``, and 0 below the support.
+
+        Anchored at the atom just below ``p``: the table sums value gaps and
+        the last piece is ``p - values[i - 1]``, so no term carries the
+        values' offset from 0, and scaling every value and ``p`` by a power
+        of two scales the result exactly.
+        """
+        i = bisect.bisect_right(self.values, p)
+        if i == 0:
+            return 0.0
+        return self._cdf_prefix[i - 1] + self.cum[i - 1] * (p - self.values[i - 1])
+
+    def integrate_cdf(self, p0: float, p1: float) -> float:
+        _check_price_bounds(p0, p1)
+        if p0 == p1:  # also at p0 = p1 = inf, where the difference below is NaN
+            return 0.0
+        # two O(log K) lookups in the prefix table, built once per prior
+        return self._integrate_cdf_to(p1) - self._integrate_cdf_to(p0)
 
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
@@ -418,8 +444,9 @@ class PiecewiseLinearDistribution(Distribution):
         return total
 
     def integrate_cdf(self, p0: float, p1: float) -> float:
-        if p0 > p1:
-            raise DomainError(f"inverted bounds: p0={p0!r} > p1={p1!r}")
+        _check_price_bounds(p0, p1)
+        if p0 == p1:  # also at p0 = p1 = inf, which the walk below turns into NaN
+            return 0.0
         vals = self.vals
         total = 0.0
         # region above the support: cdf == 1

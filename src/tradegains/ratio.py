@@ -125,13 +125,15 @@ def guarantee_check(eq) -> GuaranteeMargins:
 
     ``eq`` is an ``EquilibriumReport`` or a ``BoundReport``. The ratio is the
     computed optimum (about 3.1462), which the analysis certifies, not 3.15.
-    A margin below ``-MARGIN_TOL * max(1, fb)`` raises :class:`InvariantViolation`.
+    A margin below ``-MARGIN_TOL * max(1, fb)``, or a NaN margin, raises
+    :class:`InvariantViolation`.
     """
     ratio_star = default_optimum().ratio_star
     margin_315 = eq.gft - eq.fb / ratio_star
     margin_4 = eq.gft - eq.fb / 4.0
     tol = MARGIN_TOL * max(1.0, abs(eq.fb))
-    if margin_315 < -tol or margin_4 < -tol:
+    # written so that a NaN margin fails too
+    if not (margin_315 >= -tol and margin_4 >= -tol):
         raise InvariantViolation(
             f"guarantee margins ({margin_315!r}, {margin_4!r}) below -{tol!r}"
         )

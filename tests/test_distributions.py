@@ -1,7 +1,9 @@
 """Distribution representations: conventions, exact integrals, validation."""
 
+import functools
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -156,6 +158,141 @@ def test_integrate_cdf_matches_riemann_oracle(d, a, b):
     ps = p0 + (np.arange(n) + 0.5) * (p1 - p0) / n
     approx = float(np.sum(d.cdf_many(ps))) * (p1 - p0) / n
     assert abs(exact - approx) <= 2.0 * (p1 - p0) / n + 1e-12
+
+
+def test_integrate_cdf_domain():
+    two = DiscreteDistribution.from_atoms([(0.1, 0.5), (0.6, 0.5)])
+    for d in (two, uniform(0, 1)):
+        for p0, p1 in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan), (0.5, 0.25), (math.inf, -math.inf)):
+            with pytest.raises(DomainError):
+                d.integrate_cdf(p0, p1)
+
+
+def test_integrate_cdf_infinite_bounds():
+    inf = math.inf
+    two = DiscreteDistribution.from_atoms([(0.1, 0.5), (0.6, 0.5)])
+    assert two.integrate_cdf(-inf, 0.5) == 0.2
+    assert uniform(0, 1).integrate_cdf(-inf, 0.5) == 0.125
+    for d in (two, uniform(0, 1)):
+        assert d.integrate_cdf(-inf, -inf) == 0.0
+        assert d.integrate_cdf(inf, inf) == 0.0
+        assert d.integrate_cdf(0.5, inf) == inf
+        assert d.integrate_cdf(-inf, inf) == inf
+
+
+def reference_integrate_cdf(d, p0, p1):
+    """``E[(p1 - X)^+ - (p0 - X)^+]`` summed exactly over the atoms."""
+    return math.fsum(p * (max(p1 - v, 0.0) - max(p0 - v, 0.0)) for v, p in zip(d.values, d.probs))
+
+
+def seeded_discrete(atoms, offset=0.0):
+    rng = np.random.default_rng([atoms, 13])
+    values = np.unique(rng.uniform(0.0, 1.0, atoms)) + offset
+    return DiscreteDistribution.from_atoms(zip(values.tolist(), rng.dirichlet(np.ones(len(values))).tolist()))
+
+
+def cdf_bounds(d):
+    """Every atom and both its neighbouring floats, the midpoints, points outside the support, +-inf."""
+    vs = d.values
+    span = vs[-1] - vs[0]
+    out = {-math.inf, math.inf, vs[0] - 0.5 * span - 0.25, vs[-1] + 0.5 * span + 0.25}
+    for v in vs:
+        out.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    out.update(0.5 * (a + b) for a, b in zip(vs, vs[1:]))
+    return sorted(out)
+
+
+def cdf_bound_pairs(d, rng, n=300):
+    """Each bound above ``-inf`` and above ``support_min`` (where the geometry starts), plus ``n`` random ordered pairs."""
+    bounds = cdf_bounds(d)
+    pairs = [(lo, b) for lo in (-math.inf, d.support_min) for b in bounds if b >= lo]
+    for i, j in rng.integers(0, len(bounds), (n, 2)).tolist():
+        pairs.append((bounds[min(i, j)], bounds[max(i, j)]))
+    return pairs
+
+
+@pytest.mark.parametrize("offset", [0.0, 1000.0])
+@pytest.mark.parametrize("atoms", [1, 2, 5, 37, 128, 300])
+def test_integrate_cdf_matches_atom_sum_reference(atoms, offset):
+    base = seeded_discrete(atoms, offset)
+    rng = np.random.default_rng(atoms)
+    for d in (base, base.negate()):
+        span = d.support_max - d.support_min
+        for p0, p1 in cdf_bound_pairs(d, rng):
+            got = d.integrate_cdf(p0, p1)
+            if p0 == p1:
+                assert got == 0.0
+                continue
+            want = reference_integrate_cdf(d, p0, p1)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-13 * max(1.0, span * (p1 - p0)), (p0, p1)
+
+
+@pytest.mark.parametrize("k", [1, -1, 300, -300, 900, -900])
+def test_integrate_cdf_scales_by_powers_of_two_bit_for_bit(k):
+    for atoms in (1, 5, 128):
+        base = seeded_discrete(atoms)
+        scaled_base = DiscreteDistribution.from_atoms((math.ldexp(v, k), p) for v, p in zip(base.values, base.probs))
+        rng = np.random.default_rng(atoms)
+        for d, scaled in ((base, scaled_base), (base.negate(), scaled_base.negate())):
+            for p0, p1 in cdf_bound_pairs(d, rng, 100):
+                got = scaled.integrate_cdf(math.ldexp(p0, k), math.ldexp(p1, k))
+                assert got == math.ldexp(d.integrate_cdf(p0, p1), k), (p0, p1)
+
+
+class CountingSequence(Sequence):
+    """A read-only sequence that counts the elements read from it."""
+
+    def __init__(self, items):
+        self.items = tuple(items)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        out = self.items[i]
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+
+def test_integrate_cdf_reads_logarithmically_many_atoms(monkeypatch):
+    builds = 0
+    build = DiscreteDistribution._cdf_prefix.func
+
+    def counting_build(self):
+        nonlocal builds
+        builds += 1
+        return build(self)
+
+    prefix = functools.cached_property(counting_build)
+    prefix.__set_name__(DiscreteDistribution, "_cdf_prefix")
+    monkeypatch.setattr(DiscreteDistribution, "_cdf_prefix", prefix)
+
+    atoms = 4096
+    rng = np.random.default_rng(atoms)
+    d = DiscreteDistribution.from_atoms(
+        zip(((np.arange(atoms) + rng.uniform(0.0, 1.0, atoms)) / atoms).tolist(), rng.dirichlet(np.ones(atoms)).tolist())
+    )
+    pairs = cdf_bound_pairs(d, rng, 200)[-200:]
+    d.integrate_cdf(0.25, 0.75)  # builds the table
+    assert builds == 1
+    values, cum = CountingSequence(d.values), CountingSequence(d.cum)
+    object.__setattr__(d, "values", values)
+    d.__dict__["cum"] = cum
+    limit = 4 * math.log2(atoms)
+    for p0, p1 in pairs:
+        values.reads = cum.reads = 0
+        d.integrate_cdf(p0, p1)
+        assert values.reads + cum.reads <= limit
+    assert builds == 1
+    # one table per prior: the negation builds its own, once
+    neg = seeded_discrete(300).negate()
+    for p0, p1 in pairs:
+        neg.integrate_cdf(p0, p1)
+    assert builds == 2
 
 
 @given(dists)

@@ -1,5 +1,6 @@
 """Ratio curve, optimal scaling parameter, end-to-end guarantees."""
 
+import dataclasses
 import math
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from tradegains import (
     DomainError,
+    InvariantViolation,
     TradeInstance,
     equilibrium,
     guarantee_check,
@@ -100,6 +102,13 @@ def test_guarantee_check_examples():
     margins = guarantee_check(equilibrium(trivial))
     assert margins.margin_315 == 0.0
     assert margins.margin_4 == 0.0
+
+
+@pytest.mark.parametrize("field", ["gft", "fb"])
+def test_guarantee_check_refuses_a_nan_margin(field):
+    eq = dataclasses.replace(equilibrium(UU), **{field: math.nan})
+    with pytest.raises(InvariantViolation):
+        guarantee_check(eq)
 
 
 def test_guarantee_check_on_corpus(corpus_small):
