@@ -100,9 +100,26 @@ class Distribution:
 
     # -- exact integrals ---------------------------------------------------
 
+    # Each representation caches two prefix tables, built once in O(K), and
+    # answers ``_integrate_quantile_to(q) = integrate_quantile(0, q)`` and
+    # ``_integrate_cdf_to(p) = integrate_cdf(support_min, p)`` (0 below the
+    # support) with one O(log K) lookup each. The last piece of a lookup
+    # starts at the knot just below its argument and the cdf table sums
+    # value gaps, so no term of ``integrate_cdf`` carries the values' offset
+    # from 0, and scaling every value by a power of two scales it exactly.
+
     def integrate_quantile(self, q0: float, q1: float) -> float:
         """Exact ``integral of quantile(q) dq`` over ``[q0, q1]``."""
-        raise NotImplementedError
+        q0 = _check_prob_arg(q0, "q0")
+        q1 = _check_prob_arg(q1, "q1")
+        if q0 > q1:
+            raise DomainError(f"inverted bounds: q0={q0!r} > q1={q1!r}")
+        if q0 == q1:
+            return 0.0
+        total = self._integrate_quantile_to(q1)
+        if q0 > 0.0:
+            total -= self._integrate_quantile_to(q0)
+        return total
 
     def integrate_cdf(self, p0: float, p1: float) -> float:
         """Exact ``integral of cdf(p) dp`` over ``[p0, p1]``.
@@ -112,7 +129,10 @@ class Distribution:
         to :meth:`integrate_quantile`. Either bound may be infinite; a
         ``DomainError`` unless ``p0 <= p1``, so a NaN bound is refused.
         """
-        raise NotImplementedError
+        _check_price_bounds(p0, p1)
+        if p0 == p1:  # also at p0 = p1 = inf, where the difference below is NaN
+            return 0.0
+        return self._integrate_cdf_to(p1) - self._integrate_cdf_to(p0)
 
     def mean(self) -> float:
         """Expected value, computed directly from atoms/knots."""
@@ -200,6 +220,11 @@ class DiscreteDistribution(Distribution):
     def _cum_arr(self) -> np.ndarray:
         return np.asarray(self.cum, dtype=float)
 
+    @cached_property
+    def _cum_padded(self) -> np.ndarray:
+        """``cdf`` below each atom index: ``cum`` behind a leading 0."""
+        return np.concatenate(([0.0], self._cum_arr))
+
     @property
     def support_min(self) -> float:
         return self.values[0]
@@ -219,10 +244,14 @@ class DiscreteDistribution(Distribution):
         return self.values[i]
 
     def cdf(self, p: float) -> float:
+        if p != p:
+            raise DomainError("price p must not be NaN")
         i = bisect.bisect_right(self.values, p)
         return self.cum[i - 1] if i > 0 else 0.0
 
     def cdf_left(self, p: float) -> float:
+        if p != p:
+            raise DomainError("price p must not be NaN")
         i = bisect.bisect_left(self.values, p)
         return self.cum[i - 1] if i > 0 else 0.0
 
@@ -243,46 +272,20 @@ class DiscreteDistribution(Distribution):
         prev = self.cum[i - 1] if i > 0 else 0.0
         return self._quantile_prefix[i] + self.values[i] * (q - prev)
 
-    def integrate_quantile(self, q0: float, q1: float) -> float:
-        q0 = _check_prob_arg(q0, "q0")
-        q1 = _check_prob_arg(q1, "q1")
-        if q0 > q1:
-            raise DomainError(f"inverted bounds: q0={q0!r} > q1={q1!r}")
-        total = self._integrate_quantile_to(q1)
-        if q0 > 0.0:
-            total -= self._integrate_quantile_to(q0)
-        return total
-
     @cached_property
     def _cdf_prefix(self) -> tuple[float, ...]:
         """``integrate_cdf(values[0], values[i])`` at index ``i``, summed left to right."""
         values, cum = self.values, self.cum
         out = [0.0]
-        total = 0.0
         for i in range(1, len(values)):
-            total += cum[i - 1] * (values[i] - values[i - 1])
-            out.append(total)
+            out.append(out[-1] + cum[i - 1] * (values[i] - values[i - 1]))
         return tuple(out)
 
     def _integrate_cdf_to(self, p: float) -> float:
-        """``integrate_cdf(values[0], p)``, and 0 below the support.
-
-        Anchored at the atom just below ``p``: the table sums value gaps and
-        the last piece is ``p - values[i - 1]``, so no term carries the
-        values' offset from 0, and scaling every value and ``p`` by a power
-        of two scales the result exactly.
-        """
         i = bisect.bisect_right(self.values, p)
         if i == 0:
             return 0.0
         return self._cdf_prefix[i - 1] + self.cum[i - 1] * (p - self.values[i - 1])
-
-    def integrate_cdf(self, p0: float, p1: float) -> float:
-        _check_price_bounds(p0, p1)
-        if p0 == p1:  # also at p0 = p1 = inf, where the difference below is NaN
-            return 0.0
-        # two O(log K) lookups in the prefix table, built once per prior
-        return self._integrate_cdf_to(p1) - self._integrate_cdf_to(p0)
 
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
@@ -320,15 +323,11 @@ class DiscreteDistribution(Distribution):
 
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        idx = np.searchsorted(self._values_arr, p, side="right")
-        padded = np.concatenate(([0.0], self._cum_arr))
-        return padded[idx]
+        return self._cum_padded[np.searchsorted(self._values_arr, p, side="right")]
 
     def survival_many(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        idx = np.searchsorted(self._values_arr, p, side="left")
-        padded = np.concatenate(([0.0], self._cum_arr))
-        return 1.0 - padded[idx]
+        return 1.0 - self._cum_padded[np.searchsorted(self._values_arr, p, side="left")]
 
 
 @dataclass(frozen=True, eq=True)
@@ -400,6 +399,8 @@ class PiecewiseLinearDistribution(Distribution):
         return y0 + (q - q0) * (y1 - y0) / (q1 - q0)
 
     def cdf(self, p: float) -> float:
+        if p != p:
+            raise DomainError("price p must not be NaN")
         vals, qs = self.vals, self.qs
         if p < vals[0]:
             return 0.0
@@ -412,6 +413,8 @@ class PiecewiseLinearDistribution(Distribution):
         return qs[j - 1] + (p - y0) * (qs[j] - qs[j - 1]) / (y1 - y0)
 
     def cdf_left(self, p: float) -> float:
+        if p != p:
+            raise DomainError("price p must not be NaN")
         vals, qs = self.vals, self.qs
         if p <= vals[0]:
             return 0.0
@@ -424,56 +427,21 @@ class PiecewiseLinearDistribution(Distribution):
         y0, y1 = vals[j - 1], vals[j]
         return qs[j - 1] + (p - y0) * (qs[j] - qs[j - 1]) / (y1 - y0)
 
-    def integrate_quantile(self, q0: float, q1: float) -> float:
-        q0 = _check_prob_arg(q0, "q0")
-        q1 = _check_prob_arg(q1, "q1")
-        if q0 > q1:
-            raise DomainError(f"inverted bounds: q0={q0!r} > q1={q1!r}")
-        if q0 == q1:
-            return 0.0
-        qs = self.qs
-        total = 0.0
-        prev_q = q0
-        prev_y = self.quantile(q0)
-        i = bisect.bisect_right(qs, q0)
-        while i < len(qs) and qs[i] < q1:
-            total += (qs[i] - prev_q) * (prev_y + self.vals[i]) * 0.5
-            prev_q, prev_y = qs[i], self.vals[i]
-            i += 1
-        total += (q1 - prev_q) * (prev_y + self.quantile(q1)) * 0.5
-        return total
+    # the quantile is the polyline through (qs, vals), the CDF the one through (vals, qs)
 
-    def integrate_cdf(self, p0: float, p1: float) -> float:
-        _check_price_bounds(p0, p1)
-        if p0 == p1:  # also at p0 = p1 = inf, which the walk below turns into NaN
-            return 0.0
-        vals = self.vals
-        total = 0.0
-        # region above the support: cdf == 1
-        if p1 > vals[-1]:
-            total += p1 - max(p0, vals[-1])
-            p1 = vals[-1]
-            if p0 >= p1:
-                return total
-        if p1 <= vals[0]:
-            return total
-        p0 = max(p0, vals[0])
-        # walk the strictly-increasing value intervals; cdf is linear on each,
-        # so each trapezoid closes at the left limit (a jump at the endpoint
-        # has zero width) and reopens at the right-continuous value
-        lo = bisect.bisect_right(vals, p0)
-        prev_p = p0
-        prev_c = self.cdf(p0)
-        for j in range(lo, len(vals)):
-            vj = vals[j]
-            if vj >= p1:
-                break
-            if vj > prev_p:
-                total += (vj - prev_p) * (prev_c + self.cdf_left(vj)) * 0.5
-                prev_p = vj
-            prev_c = self.cdf(vj)
-        total += (p1 - prev_p) * (prev_c + self.cdf_left(p1)) * 0.5
-        return total
+    @cached_property
+    def _quantile_prefix(self) -> tuple[float, ...]:
+        return _trapezoid_sums(self.qs, self.vals)
+
+    def _integrate_quantile_to(self, q: float) -> float:
+        return _polyline_area(self.qs, self.vals, self._quantile_prefix, q)
+
+    @cached_property
+    def _cdf_prefix(self) -> tuple[float, ...]:
+        return _trapezoid_sums(self.vals, self.qs)
+
+    def _integrate_cdf_to(self, p: float) -> float:
+        return _polyline_area(self.vals, self.qs, self._cdf_prefix, p)
 
     def mean(self) -> float:
         qs, vals = self.qs, self.vals
@@ -532,6 +500,32 @@ class PiecewiseLinearDistribution(Distribution):
         left = np.where(at_knot, qs[np.minimum(j, len(vals) - 1)], interp)
         left = np.where(below, 0.0, np.where(above, 1.0, left))
         return 1.0 - left
+
+
+def _trapezoid_sums(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ...]:
+    """Area under the polyline through ``(xs, ys)`` from ``xs[0]`` to ``xs[k]``, at index ``k``.
+
+    Summed left to right; a repeated ``x`` is a jump and adds 0.
+    """
+    out = [0.0]
+    for k in range(1, len(xs)):
+        out.append(out[-1] + (xs[k] - xs[k - 1]) * (ys[k - 1] + ys[k]) * 0.5)
+    return tuple(out)
+
+
+def _polyline_area(xs: Sequence[float], ys: Sequence[float], sums: tuple[float, ...], x: float) -> float:
+    """Area under the polyline from ``xs[0]`` to ``x``: one lookup in its ``_trapezoid_sums``.
+
+    The polyline is 0 below ``xs[0]`` and ``ys[-1]`` above ``xs[-1]``.
+    """
+    i = bisect.bisect_right(xs, x)
+    if i == 0:
+        return 0.0
+    if i == len(xs):
+        return sums[-1] + (x - xs[-1]) * ys[-1]
+    x0, y0 = xs[i - 1], ys[i - 1]
+    y = y0 + (x - x0) * (ys[i] - y0) / (xs[i] - x0)
+    return sums[i - 1] + (x - x0) * (y0 + y) * 0.5
 
 
 # --------------------------------------------------------------------------

@@ -156,26 +156,21 @@ def seller_scaling_utility(v: float, seller: Distribution, lam: float) -> float:
 
 
 def key_lemma_margin(v: float, seller: Distribution, q: float) -> float:
-    """Optimal buyer utility minus ``q * (v - c(q))`` for ``q`` in ``[0, x(v)]``.
-
-    Offering ``c(q)`` trades with probability at least ``q``, so the margin
-    is non-negative up to roundoff.
-    """
-    v = _check_value(v)
-    q = float(q)
-    x_v = seller.cdf(v)
-    if not 0.0 <= q <= x_v:
-        raise DomainError(f"q must lie in [0, x(v)] = [0, {x_v!r}], got {q!r}")
-    u_opt = buyer_best_response(v, seller).utility
-    return u_opt - q * (v - seller.quantile(q))
+    """:func:`key_lemma_margins` at the one quantile ``q``."""
+    return float(key_lemma_margins(v, seller, [q])[0])
 
 
 def key_lemma_margins(v: float, seller: Distribution, qs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`key_lemma_margin` over an array of quantiles."""
+    """Optimal buyer utility minus ``q * (v - c(q))`` at each ``q`` in ``[0, x(v)]``.
+
+    Offering ``c(q)`` trades with probability at least ``q``, so each margin
+    is non-negative up to roundoff.
+    """
     v = _check_value(v)
     qs = np.asarray(qs, dtype=float)
     x_v = seller.cdf(v)
-    if qs.size and (qs.min() < 0.0 or qs.max() > x_v):
+    # written so that a NaN fails too
+    if qs.size and not (qs.min() >= 0.0 and qs.max() <= x_v):
         raise DomainError(f"all q must lie in [0, x(v)] = [0, {x_v!r}]")
     u_opt = buyer_best_response(v, seller).utility
     return u_opt - qs * (v - seller.quantile_many(qs))

@@ -1,9 +1,11 @@
 """Distribution representations: conventions, exact integrals, validation."""
 
+import collections
 import functools
 import json
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +101,17 @@ def test_survival_is_left_continuous():
     assert uniform(0, 1).survival(0.3) == 0.7
 
 
+def test_cdf_refuses_a_nan_price():
+    two = DiscreteDistribution.from_atoms([(0.1, 0.5), (0.6, 0.5)])
+    for d in (two, uniform(0, 1)):
+        for f in (d.cdf, d.cdf_left, d.survival):
+            with pytest.raises(DomainError):
+                f(math.nan)
+        assert (d.cdf(-math.inf), d.cdf(math.inf)) == (0.0, 1.0)
+        assert (d.cdf_left(-math.inf), d.cdf_left(math.inf)) == (0.0, 1.0)
+        assert (d.survival(-math.inf), d.survival(math.inf)) == (1.0, 0.0)
+
+
 def test_sample_examples():
     assert point(1.0).sample(0.7) == 1.0
     assert uniform(0, 1).sample(0.42) == 0.42
@@ -191,9 +204,26 @@ def seeded_discrete(atoms, offset=0.0):
     return DiscreteDistribution.from_atoms(zip(values.tolist(), rng.dirichlet(np.ones(len(values))).tolist()))
 
 
+def seeded_pwl(knots, offset=0.0):
+    """Seeded pwl prior whose value steps are, in about equal shares, flat, 1 ulp and uniform gaps."""
+    rng = np.random.default_rng([knots, 29])
+    qs = [0.0] + np.sort(rng.uniform(0.0, 1.0, knots - 2)).tolist() + [1.0]
+    vals = [offset + float(rng.uniform(0.0, 1.0))]
+    for kind, gap in zip(rng.integers(0, 3, knots - 1).tolist(), rng.uniform(0.0, 1.0, knots - 1).tolist()):
+        vals.append((vals[-1], math.nextafter(vals[-1], math.inf), vals[-1] + gap / knots)[kind])
+    return PiecewiseLinearDistribution.from_knots(zip(qs, vals))
+
+
+def scaled_prior(d, k):
+    """``d`` with every value multiplied by ``2**k``."""
+    if isinstance(d, DiscreteDistribution):
+        return DiscreteDistribution.from_atoms((math.ldexp(v, k), p) for v, p in zip(d.values, d.probs))
+    return PiecewiseLinearDistribution.from_knots((q, math.ldexp(v, k)) for q, v in zip(d.qs, d.vals))
+
+
 def cdf_bounds(d):
-    """Every atom and both its neighbouring floats, the midpoints, points outside the support, +-inf."""
-    vs = d.values
+    """Every knot value and both its neighbouring floats, the midpoints, points outside the support, +-inf."""
+    vs = d.knot_values()
     span = vs[-1] - vs[0]
     out = {-math.inf, math.inf, vs[0] - 0.5 * span - 0.25, vs[-1] + 0.5 * span + 0.25}
     for v in vs:
@@ -230,12 +260,78 @@ def test_integrate_cdf_matches_atom_sum_reference(atoms, offset):
                 assert abs(got - want) <= 1e-13 * max(1.0, span * (p1 - p0)), (p0, p1)
 
 
+def quantile_bounds(d):
+    """Every knot of the quantile function and both its neighbouring floats in [0, 1], and the midpoints."""
+    ks = d.qs if isinstance(d, PiecewiseLinearDistribution) else (0.0,) + d.cum
+    out = set()
+    for q in ks:
+        out.update((q, math.nextafter(q, -math.inf), math.nextafter(q, math.inf)))
+    out.update(0.5 * (a + b) for a, b in zip(ks, ks[1:]))
+    return sorted(q for q in out if 0.0 <= q <= 1.0)
+
+
+def quantile_bound_pairs(d, rng, n=300):
+    """Each bound above 0 (the form of every integral the library takes), plus ``n`` random ordered pairs."""
+    bounds = quantile_bounds(d)
+    pairs = [(0.0, b) for b in bounds]
+    for i, j in rng.integers(0, len(bounds), (n, 2)).tolist():
+        pairs.append((bounds[min(i, j)], bounds[max(i, j)]))
+    return pairs
+
+
+def exact_area(xs, ys):
+    """``area(x)``: the integral from ``xs[0]`` to ``x`` of the polyline through ``(xs, ys)``, in Fractions.
+
+    ``xs`` is non-decreasing and a repeated ``x`` is a jump; the polyline is
+    0 below ``xs[0]`` and ``ys[-1]`` above ``xs[-1]``.
+    """
+    X, Y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    trapezoids = [Fraction(0)]
+    for k in range(1, len(X)):
+        trapezoids.append(trapezoids[-1] + (X[k] - X[k - 1]) * (Y[k - 1] + Y[k]) / 2)
+
+    def area(x):
+        if x <= xs[0]:
+            return Fraction(0)
+        if x >= xs[-1]:
+            return trapezoids[-1] + (Fraction(x) - X[-1]) * Y[-1]
+        k = next(k for k in range(1, len(xs)) if xs[k] > x)  # xs[k - 1] <= x < xs[k]
+        x = Fraction(x)
+        y = Y[k - 1] + (x - X[k - 1]) * (Y[k] - Y[k - 1]) / (X[k] - X[k - 1])
+        return trapezoids[k - 1] + (x - X[k - 1]) * (Y[k - 1] + y) / 2
+
+    return area
+
+
+@pytest.mark.parametrize("offset", [0.0, 1000.0])
+@pytest.mark.parametrize("knots", [2, 3, 17, 64, 200])
+def test_pwl_integrals_match_exact_trapezoid_sums(knots, offset):
+    # rounding bound: one relative error of 2**-52 per trapezoid summed, with
+    # room to spare, times the size of the running sums
+    eps = 4 * knots * 2.0**-52
+    base = seeded_pwl(knots, offset)
+    rng = np.random.default_rng(knots)
+    for d in (base, base.negate()):
+        area = exact_area(d.qs, d.vals)
+        scale = max(1.0, abs(d.support_min), abs(d.support_max))
+        for q0, q1 in quantile_bound_pairs(d, rng):
+            got = d.integrate_quantile(q0, q1)
+            assert abs(Fraction(got) - (area(q1) - area(q0))) <= eps * scale, (q0, q1)
+        area = exact_area(d.vals, d.qs)
+        for p0, p1 in cdf_bound_pairs(d, rng):
+            got = d.integrate_cdf(p0, p1)
+            if p0 == p1 or p1 == math.inf:
+                assert got == (0.0 if p0 == p1 else math.inf)
+                continue
+            want = area(p1) - (area(p0) if p0 > -math.inf else 0)
+            assert abs(Fraction(got) - want) <= eps * max(1, area(p1)), (p0, p1)
+
+
 @pytest.mark.parametrize("k", [1, -1, 300, -300, 900, -900])
 def test_integrate_cdf_scales_by_powers_of_two_bit_for_bit(k):
-    for atoms in (1, 5, 128):
-        base = seeded_discrete(atoms)
-        scaled_base = DiscreteDistribution.from_atoms((math.ldexp(v, k), p) for v, p in zip(base.values, base.probs))
-        rng = np.random.default_rng(atoms)
+    for base in [seeded_discrete(atoms) for atoms in (1, 5, 128)] + [seeded_pwl(knots) for knots in (2, 5, 128)]:
+        scaled_base = scaled_prior(base, k)
+        rng = np.random.default_rng(len(base.knot_values()))
         for d, scaled in ((base, scaled_base), (base.negate(), scaled_base.negate())):
             for p0, p1 in cdf_bound_pairs(d, rng, 100):
                 got = scaled.integrate_cdf(math.ldexp(p0, k), math.ldexp(p1, k))
@@ -258,41 +354,59 @@ class CountingSequence(Sequence):
         return out
 
 
+def count_table_builds(monkeypatch, cls):
+    """Count the builds of each of ``cls``'s two prefix tables."""
+    builds = collections.Counter()
+    for name in ("_quantile_prefix", "_cdf_prefix"):
+        build = getattr(cls, name).func
+
+        def counting_build(self, build=build, name=name):
+            builds[name] += 1
+            return build(self)
+
+        table = functools.cached_property(counting_build)
+        table.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, table)
+    return builds
+
+
 def test_integrate_cdf_reads_logarithmically_many_atoms(monkeypatch):
-    builds = 0
-    build = DiscreteDistribution._cdf_prefix.func
-
-    def counting_build(self):
-        nonlocal builds
-        builds += 1
-        return build(self)
-
-    prefix = functools.cached_property(counting_build)
-    prefix.__set_name__(DiscreteDistribution, "_cdf_prefix")
-    monkeypatch.setattr(DiscreteDistribution, "_cdf_prefix", prefix)
-
-    atoms = 4096
-    rng = np.random.default_rng(atoms)
-    d = DiscreteDistribution.from_atoms(
-        zip(((np.arange(atoms) + rng.uniform(0.0, 1.0, atoms)) / atoms).tolist(), rng.dirichlet(np.ones(atoms)).tolist())
+    """Both integrals on both priors read O(log K) entries of the prior's own
+    sequences (``values`` / ``cum`` or ``qs`` / ``vals``), and each prefix
+    table is built once per prior."""
+    size = 4096
+    limit = 4 * math.log2(size)
+    rng = np.random.default_rng(size)
+    values = ((np.arange(size) + rng.uniform(0.0, 1.0, size)) / size).tolist()
+    # rounding the values down to 1/1024 makes flat runs of about four knots
+    flat_runs = (np.floor(np.multiply(values, 1024)) / 1024).tolist()
+    priors = (
+        (DiscreteDistribution.from_atoms(zip(values, rng.dirichlet(np.ones(size)).tolist())), ("values", "cum")),
+        (PiecewiseLinearDistribution.from_knots(zip(np.linspace(0.0, 1.0, size).tolist(), flat_runs)), ("qs", "vals")),
     )
-    pairs = cdf_bound_pairs(d, rng, 200)[-200:]
-    d.integrate_cdf(0.25, 0.75)  # builds the table
-    assert builds == 1
-    values, cum = CountingSequence(d.values), CountingSequence(d.cum)
-    object.__setattr__(d, "values", values)
-    d.__dict__["cum"] = cum
-    limit = 4 * math.log2(atoms)
-    for p0, p1 in pairs:
-        values.reads = cum.reads = 0
-        d.integrate_cdf(p0, p1)
-        assert values.reads + cum.reads <= limit
-    assert builds == 1
-    # one table per prior: the negation builds its own, once
-    neg = seeded_discrete(300).negate()
-    for p0, p1 in pairs:
-        neg.integrate_cdf(p0, p1)
-    assert builds == 2
+    for d, fields in priors:
+        builds = count_table_builds(monkeypatch, type(d))
+        q_pairs = quantile_bound_pairs(d, rng, 200)[-200:] + [(0.0, 1.0), (0.0, 0.5)]
+        p_pairs = cdf_bound_pairs(d, rng, 200)[-200:] + [(-math.inf, math.inf), (d.support_min, 0.5)]
+        d.integrate_quantile(0.25, 0.75)  # builds the tables
+        d.integrate_cdf(0.25, 0.75)
+        assert builds == {"_quantile_prefix": 1, "_cdf_prefix": 1}
+        counters = [CountingSequence(getattr(d, name)) for name in fields]
+        for name, counter in zip(fields, counters):
+            d.__dict__[name] = counter
+        for integral, pairs in ((d.integrate_quantile, q_pairs), (d.integrate_cdf, p_pairs)):
+            for a, b in pairs:
+                for counter in counters:
+                    counter.reads = 0
+                integral(a, b)
+                assert sum(counter.reads for counter in counters) <= limit, (type(d).__name__, integral.__name__, a, b)
+        assert builds == {"_quantile_prefix": 1, "_cdf_prefix": 1}
+        # one table per prior: the negation builds its own, once
+        neg = (seeded_discrete(300) if isinstance(d, DiscreteDistribution) else seeded_pwl(300)).negate()
+        for (q0, q1), (p0, p1) in zip(q_pairs, p_pairs):
+            neg.integrate_quantile(q0, q1)
+            neg.integrate_cdf(p0, p1)
+        assert builds == {"_quantile_prefix": 2, "_cdf_prefix": 2}
 
 
 @given(dists)

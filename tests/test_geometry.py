@@ -176,6 +176,14 @@ def test_key_lemma_margins_random(corpus_small):
             assert margins.min() >= -1e-9
 
 
+def test_key_lemma_margins_refuse_a_nan_quantile():
+    for qs in ([math.nan, 0.3], [0.3, math.nan], [math.nan]):
+        with pytest.raises(DomainError):
+            key_lemma_margins(1.0, U01, np.array(qs))
+    with pytest.raises(DomainError):
+        key_lemma_margin(1.0, U01, math.nan)
+
+
 # --------------------------------------------------------------------------
 # identities on random instances
 

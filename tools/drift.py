@@ -9,11 +9,11 @@ The base and this checkout then run all of them, in order, each in one
 process of its own that imports ``tradegains`` from the checkout's
 ``src/``. Nothing under ``perfbench/`` is written.
 
-It prints, per workload and in total: the calls, the exit-code mismatches,
-the byte-identical outputs, the outputs whose text differs outside its
-numbers, and the largest move of a printed number relative to
-``max(1, |x|)``, with ``x`` the base's number. The exit code is 1 when an
-exit code or the text around the numbers differs, else 0.
+It prints, per workload, in total and then per workload and command: the
+calls, the exit-code mismatches, the byte-identical outputs, the outputs
+whose text differs outside its numbers, and the largest move of a printed
+number relative to ``max(1, |x|)``, with ``x`` the base's number. The exit
+code is 1 when an exit code or the text around the numbers differs, else 0.
 """
 
 from __future__ import annotations
@@ -114,29 +114,27 @@ def main(argv=None) -> int:
             [args.base.resolve(), ROOT], [argv for _, argv in calls], directory
         )
 
+    counts = ("calls", "exit_mismatch", "identical", "text_differs")
     rows: dict[str, dict] = {}
+    command_rows: dict[str, dict] = {}
     worst = (0.0, "")
     for (name, argv), (b_rc, b_out), (h_rc, h_out) in zip(calls, base_results, head_results):
-        row = rows.setdefault(name, {"calls": 0, "exit_mismatch": 0, "identical": 0, "text_differs": 0, "max_move": 0.0})
-        row["calls"] += 1
-        if b_rc != h_rc:
-            row["exit_mismatch"] += 1
-            continue
-        same_text, move = compare(b_out, h_out)
-        row["identical"] += b_out == h_out
-        row["text_differs"] += not same_text
-        row["max_move"] = max(row["max_move"], move)
+        same_text, move = compare(b_out, h_out) if b_rc == h_rc else (True, 0.0)
+        for row in (rows.setdefault(name, {}), command_rows.setdefault(f"{name} {argv[0]}", {})):
+            for key, add in zip(counts, (1, b_rc != h_rc, b_rc == h_rc and b_out == h_out, not same_text)):
+                row[key] = row.get(key, 0) + add
+            row["max_move"] = max(row.get("max_move", 0.0), move)
         if move > worst[0]:
             worst = (move, f"{name}: {' '.join(argv[:1] + [Path(a).name for a in argv[1:]])}")
-    total = {key: sum(row[key] for row in rows.values()) for key in ("calls", "exit_mismatch", "identical", "text_differs")}
+    total = {key: sum(row[key] for row in rows.values()) for key in counts}
     total["max_move"] = worst[0]
     rows["total"] = total
 
     print(f"seeds {' '.join(map(str, args.seeds))}: base {args.base}, head {ROOT}")
-    print(f"{'workload':<16}{'calls':>7}{'exit≠':>7}{'identical':>11}{'text≠':>7}  max relative move")
-    for name, row in rows.items():
+    print(f"{'workload':<24}{'calls':>7}{'exit≠':>7}{'identical':>11}{'text≠':>7}  max relative move")
+    for name, row in [*rows.items(), *command_rows.items()]:
         print(
-            f"{name:<16}{row['calls']:>7}{row['exit_mismatch']:>7}{row['identical']:>11}"
+            f"{name:<24}{row['calls']:>7}{row['exit_mismatch']:>7}{row['identical']:>11}"
             f"{row['text_differs']:>7}  {row['max_move']:.3g}"
         )
     if worst[0] > 0.0:
