@@ -38,6 +38,7 @@ from .mechanism import (
     TradeInstance,
     acceptance_prob,
     buyer_best_response,
+    buyer_best_response_many,
     equilibrium,
     first_best,
     role_swap,
@@ -86,6 +87,7 @@ __all__ = [
     "acceptance_prob",
     "aggregate_decomposition",
     "buyer_best_response",
+    "buyer_best_response_many",
     "buyer_deviation_bound",
     "canonical_uniform_instance",
     "decompose_fixed_v",

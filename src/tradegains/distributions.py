@@ -39,7 +39,13 @@ PROB_TOL = 1e-12
 # 7-point Gauss-Legendre rule on [-1, 1]; exact for polynomials up to
 # degree 13, which covers every piecewise-polynomial integrand produced by
 # the mechanism/geometry modules once their breakpoints are split out.
-_GL_NODES, _GL_WEIGHTS = (tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(7))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a cached array reaches every later caller, integrands included."""
+    a.flags.writeable = False
+    return a
 
 
 def _check_prob_arg(q: float, name: str = "q") -> float:
@@ -53,6 +59,14 @@ def _check_price_bounds(p0: float, p1: float) -> None:
     # written so that a NaN fails too
     if not p0 <= p1:
         raise DomainError(f"integration bounds must satisfy p0 <= p1, got {p0!r}, {p1!r}")
+
+
+def _check_prices_many(p: np.ndarray) -> np.ndarray:
+    """``p`` as a float array with no NaN, which the scalar price methods refuse too."""
+    p = np.asarray(p, dtype=float)
+    if np.isnan(p).any():
+        raise DomainError("price p must not be NaN")
+    return p
 
 
 def _check_unit_many(u: np.ndarray) -> np.ndarray:
@@ -134,6 +148,17 @@ class Distribution:
             return 0.0
         return self._integrate_cdf_to(p1) - self._integrate_cdf_to(p0)
 
+    # ``_integrate_quantile_to_many`` and ``_integrate_cdf_to_many`` answer the
+    # same lookups at every element of an array, in the scalar's arithmetic.
+
+    @cached_property
+    def _quantile_prefix_arr(self) -> np.ndarray:
+        return _read_only(np.asarray(self._quantile_prefix))
+
+    @cached_property
+    def _cdf_prefix_arr(self) -> np.ndarray:
+        return _read_only(np.asarray(self._cdf_prefix))
+
     def mean(self) -> float:
         """Expected value, computed directly from atoms/knots."""
         raise NotImplementedError
@@ -163,8 +188,8 @@ class Distribution:
         return _buyer_envelope(self)
 
     def negate(self) -> "Distribution":
-        """Distribution of ``-X``."""
-        raise NotImplementedError
+        """Distribution of ``-X``, built once per prior, so its caches last too."""
+        return self._negation
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -177,8 +202,11 @@ class Distribution:
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def survival_many(self, p: np.ndarray) -> np.ndarray:
+    def cdf_left_many(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def survival_many(self, p: np.ndarray) -> np.ndarray:
+        return 1.0 - self.cdf_left_many(p)
 
     def sample_many(self, u: np.ndarray) -> np.ndarray:
         return self.quantile_many(_check_unit_many(u))
@@ -214,16 +242,20 @@ class DiscreteDistribution(Distribution):
     # cached numpy views for the vectorized paths
     @cached_property
     def _values_arr(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return _read_only(np.asarray(self.values, dtype=float))
+
+    @cached_property
+    def _probs_arr(self) -> np.ndarray:
+        return _read_only(np.asarray(self.probs, dtype=float))
 
     @cached_property
     def _cum_arr(self) -> np.ndarray:
-        return np.asarray(self.cum, dtype=float)
+        return _read_only(np.asarray(self.cum, dtype=float))
 
     @cached_property
     def _cum_padded(self) -> np.ndarray:
         """``cdf`` below each atom index: ``cum`` behind a leading 0."""
-        return np.concatenate(([0.0], self._cum_arr))
+        return _read_only(np.concatenate(([0.0], self._cum_arr)))
 
     @property
     def support_min(self) -> float:
@@ -272,6 +304,10 @@ class DiscreteDistribution(Distribution):
         prev = self.cum[i - 1] if i > 0 else 0.0
         return self._quantile_prefix[i] + self.values[i] * (q - prev)
 
+    def _integrate_quantile_to_many(self, q: np.ndarray) -> np.ndarray:
+        i = self._cum_arr.searchsorted(q, side="left")
+        return self._quantile_prefix_arr[i] + self._values_arr[i] * (q - self._cum_padded[i])
+
     @cached_property
     def _cdf_prefix(self) -> tuple[float, ...]:
         """``integrate_cdf(values[0], values[i])`` at index ``i``, summed left to right."""
@@ -287,10 +323,16 @@ class DiscreteDistribution(Distribution):
             return 0.0
         return self._cdf_prefix[i - 1] + self.cum[i - 1] * (p - self.values[i - 1])
 
+    def _integrate_cdf_to_many(self, p: np.ndarray) -> np.ndarray:
+        j = self._values_arr[1:].searchsorted(p, side="right")  # the last atom at or below p, or 0
+        out = self._cdf_prefix_arr[j] + self._cum_arr[j] * (p - self._values_arr[j])
+        return np.where(p < self._values_arr[0], 0.0, out)
+
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
-    def negate(self) -> "DiscreteDistribution":
+    @cached_property
+    def _negation(self) -> "DiscreteDistribution":
         neg = DiscreteDistribution(
             values=tuple(-v for v in reversed(self.values)),
             probs=tuple(reversed(self.probs)),
@@ -308,7 +350,7 @@ class DiscreteDistribution(Distribution):
 
     def _atom_indices(self, q: np.ndarray) -> np.ndarray:
         """Index of the atom ``quantile`` returns at each ``q``."""
-        idx = np.searchsorted(self._cum_arr, q, side="left")
+        idx = self._cum_arr.searchsorted(q, side="left")
         return np.minimum(idx, len(self.values) - 1)
 
     def quantile_many(self, q: np.ndarray) -> np.ndarray:
@@ -322,12 +364,12 @@ class DiscreteDistribution(Distribution):
         return self._atom_indices(_check_unit_many(u))
 
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return self._cum_padded[np.searchsorted(self._values_arr, p, side="right")]
+        p = _check_prices_many(p)
+        return self._cum_padded[self._values_arr.searchsorted(p, side="right")]
 
-    def survival_many(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return 1.0 - self._cum_padded[np.searchsorted(self._values_arr, p, side="left")]
+    def cdf_left_many(self, p: np.ndarray) -> np.ndarray:
+        p = _check_prices_many(p)
+        return self._cum_padded[self._values_arr.searchsorted(p, side="left")]
 
 
 @dataclass(frozen=True, eq=True)
@@ -354,11 +396,11 @@ class PiecewiseLinearDistribution(Distribution):
 
     @cached_property
     def _qs_arr(self) -> np.ndarray:
-        return np.asarray(self.qs, dtype=float)
+        return _read_only(np.asarray(self.qs, dtype=float))
 
     @cached_property
     def _vals_arr(self) -> np.ndarray:
-        return np.asarray(self.vals, dtype=float)
+        return _read_only(np.asarray(self.vals, dtype=float))
 
     @property
     def support_min(self) -> float:
@@ -436,12 +478,20 @@ class PiecewiseLinearDistribution(Distribution):
     def _integrate_quantile_to(self, q: float) -> float:
         return _polyline_area(self.qs, self.vals, self._quantile_prefix, q)
 
+    def _integrate_quantile_to_many(self, q: np.ndarray) -> np.ndarray:
+        dq, dv, _ = self._steps
+        return _polyline_area_many(self._qs_arr, self._vals_arr, dv, dq, self._quantile_prefix_arr, q)
+
     @cached_property
     def _cdf_prefix(self) -> tuple[float, ...]:
         return _trapezoid_sums(self.vals, self.qs)
 
     def _integrate_cdf_to(self, p: float) -> float:
         return _polyline_area(self.vals, self.qs, self._cdf_prefix, p)
+
+    def _integrate_cdf_to_many(self, p: np.ndarray) -> np.ndarray:
+        dq, _, dv = self._steps
+        return _polyline_area_many(self._vals_arr, self._qs_arr, dq, dv, self._cdf_prefix_arr, p)
 
     def mean(self) -> float:
         qs, vals = self.qs, self.vals
@@ -450,7 +500,8 @@ class PiecewiseLinearDistribution(Distribution):
             for i in range(len(qs) - 1)
         )
 
-    def negate(self) -> "PiecewiseLinearDistribution":
+    @cached_property
+    def _negation(self) -> "PiecewiseLinearDistribution":
         return PiecewiseLinearDistribution(
             qs=tuple(1.0 - q for q in reversed(self.qs)),
             vals=tuple(-v for v in reversed(self.vals)),
@@ -462,44 +513,45 @@ class PiecewiseLinearDistribution(Distribution):
             "knots": [{"q": q, "value": v} for q, v in zip(self.qs, self.vals)],
         }
 
+    @cached_property
+    def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dq, dv, dv_safe)``: each segment's ``qs`` and ``vals`` steps.
+
+        ``dv_safe`` is ``dv`` with 1 for a flat run, so that no lane
+        divides by zero; a lane that reads it is overwritten.
+        """
+        qs, vals = self._qs_arr, self._vals_arr
+        dq, dv = qs[1:] - qs[:-1], vals[1:] - vals[:-1]
+        return _read_only(dq), _read_only(dv), _read_only(np.where(dv > 0, dv, 1.0))
+
+    # In the vectorized methods below, a search among the inner knots gives
+    # the scalar's segment, clipped to the first and last; lanes outside the
+    # support compute on that segment and are then overwritten.
+
     def quantile_many(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         qs, vals = self._qs_arr, self._vals_arr
-        i = np.searchsorted(qs, q, side="right")
-        top = i >= len(qs)
-        i = np.clip(i, 1, len(qs) - 1)
-        q0 = qs[i - 1]
-        out = vals[i - 1] + (q - q0) * (vals[i] - vals[i - 1]) / (qs[i] - q0)
-        return np.where(top, vals[-1], out)
+        dq, dv, _ = self._steps
+        k = qs[1:-1].searchsorted(q, side="right")
+        out = vals[k] + (q - qs[k]) * dv[k] / dq[k]
+        return np.where(q >= qs[-1], vals[-1], out)
 
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
+        p = _check_prices_many(p)
         vals, qs = self._vals_arr, self._qs_arr
-        j = np.searchsorted(vals, p, side="right")
-        below = p < vals[0]
-        above = p >= vals[-1]
-        j = np.clip(j, 1, len(vals) - 1)
-        y0 = vals[j - 1]
-        denom = vals[j] - y0
-        safe = np.where(denom > 0, denom, 1.0)
-        out = qs[j - 1] + (p - y0) * (qs[j] - qs[j - 1]) / safe
-        return np.where(below, 0.0, np.where(above, 1.0, out))
+        dq, _, dv = self._steps
+        k = vals[1:-1].searchsorted(p, side="right")
+        out = qs[k] + (p - vals[k]) * dq[k] / dv[k]
+        return np.where(p < vals[0], 0.0, np.where(p >= vals[-1], 1.0, out))
 
-    def survival_many(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
+    def cdf_left_many(self, p: np.ndarray) -> np.ndarray:
+        p = _check_prices_many(p)
         vals, qs = self._vals_arr, self._qs_arr
-        below = p <= vals[0]
-        above = p > vals[-1]
-        j = np.searchsorted(vals, p, side="left")
-        jc = np.clip(j, 1, len(vals) - 1)
-        at_knot = vals[np.minimum(j, len(vals) - 1)] == p
-        y0 = vals[jc - 1]
-        denom = vals[jc] - y0
-        safe = np.where(denom > 0, denom, 1.0)
-        interp = qs[jc - 1] + (p - y0) * (qs[jc] - qs[jc - 1]) / safe
-        left = np.where(at_knot, qs[np.minimum(j, len(vals) - 1)], interp)
-        left = np.where(below, 0.0, np.where(above, 1.0, left))
-        return 1.0 - left
+        dq, _, dv = self._steps
+        k = vals[1:-1].searchsorted(p, side="left")
+        # inside the support, knot k + 1 is the first at or above p
+        out = np.where(vals[k + 1] == p, qs[k + 1], qs[k] + (p - vals[k]) * dq[k] / dv[k])
+        return np.where(p <= vals[0], 0.0, np.where(p > vals[-1], 1.0, out))
 
 
 def _trapezoid_sums(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ...]:
@@ -528,6 +580,23 @@ def _polyline_area(xs: Sequence[float], ys: Sequence[float], sums: tuple[float, 
     return sums[i - 1] + (x - x0) * (y0 + y) * 0.5
 
 
+def _polyline_area_many(
+    xs: np.ndarray, ys: np.ndarray, dy: np.ndarray, dx: np.ndarray, sums: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """:func:`_polyline_area` at each element of ``x``, in the same arithmetic.
+
+    ``dy`` and ``dx`` are the polyline's steps per piece, ``dx`` with no
+    zero, so that lanes off the inner pieces raise no warning.
+    """
+    x = np.asarray(x, dtype=float)
+    k = xs[1:-1].searchsorted(x, side="right")
+    x0, y0 = xs[k], ys[k]
+    step = x - x0
+    inner = sums[k] + step * (y0 + (y0 + step * dy[k] / dx[k])) * 0.5
+    top = sums[-1] + (x - xs[-1]) * ys[-1]
+    return np.where(x < xs[0], 0.0, np.where(x >= xs[-1], top, inner))
+
+
 # --------------------------------------------------------------------------
 # the buyer's upper envelope
 
@@ -552,6 +621,28 @@ class BuyerEnvelope:
 
     starts: tuple[float, ...]
     entries: tuple[tuple[tuple[tuple[float, float], ...], float, float, float], ...]
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``(starts, price, trade, lo, hi, r)`` as arrays, for lookups over many values.
+
+        Entry ``i`` sits at column ``i + 1``, behind a blank entry at each
+        end that offers nothing. ``price[k]`` and ``trade[k]`` hold the
+        ``k``-th fixed knot of every entry, ``(inf, 1.0)`` where it has
+        none, which no finite ``v`` can post; a blank has ``lo = hi = inf``.
+        """
+        inf = math.inf
+        slots = max(len(fixed) for fixed, *_ in self.entries)
+        pad = (inf, 1.0) * slots
+        rows = [
+            (*(f for knot in fixed for f in knot), *pad[2 * len(fixed) :], lo, hi, r)
+            for fixed, lo, hi, r in self.entries
+        ]
+        blank = (*pad, inf, inf, 0.0)
+        # one array, with row 2k the k-th knots' prices and row 2k + 1 their trade probabilities
+        table = _read_only(np.array(list(zip(blank, *rows, blank))))
+        price, trade = table[0 : 2 * slots : 2], table[1 : 2 * slots : 2]
+        return _read_only(np.asarray(self.starts)), price, trade, *table[2 * slots :]
 
 
 def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
@@ -848,7 +939,7 @@ def distribution_from_json(obj) -> Distribution:
 
 def expect(
     dist: Distribution,
-    fn: Callable[[float], float | tuple[float, ...]],
+    fn: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]],
     breakpoints: Sequence[float] = (),
 ) -> float | tuple[float, ...]:
     """Expectation ``E[fn(X)]`` for a piecewise-polynomial integrand.
@@ -861,31 +952,34 @@ def expect(
     polynomials up to degree 13. A kink or jump left undeclared is not
     detected; it costs accuracy on the piece that contains it.
 
-    ``fn`` runs once per node. It may return a tuple of floats; the result
-    is then the tuple of their expectations, each bit-identical to ``expect``
-    of that field alone.
+    ``fn`` is called once, on a float array of every atom in order or of
+    every node of every piece, and returns an array of the same shape, or a
+    tuple of such arrays; the result is then the tuple of their
+    expectations. Each field is summed as ``math.fsum`` of ``w * f`` per
+    piece, then ``math.fsum`` over the pieces weighted by their half
+    widths, so it is bit-identical to ``expect`` of that field alone.
     """
     if isinstance(dist, DiscreteDistribution):
-        return _weighted_fsum(dist.probs, [fn(v) for v in dist.values])
+        return _fields(fn(dist._values_arr), lambda f: math.fsum((dist._probs_arr * f).tolist()))
 
     cuts = set(dist.qs)
-    for b in breakpoints:
-        b = float(b)
-        if math.isfinite(b):
-            cuts.add(dist.cdf_left(b))
-            cuts.add(dist.cdf(b))
-    ts = sorted(t for t in cuts if 0.0 <= t <= 1.0)
+    bs = np.asarray(breakpoints, dtype=float)
+    bs = bs[np.isfinite(bs)]
+    cuts.update(dist.cdf_left_many(bs).tolist())
+    cuts.update(dist.cdf_many(bs).tolist())
+    ts = np.asarray(sorted(t for t in cuts if 0.0 <= t <= 1.0))  # strictly increasing
+    halves, mids = 0.5 * (ts[1:] - ts[:-1]), 0.5 * (ts[:-1] + ts[1:])
+    nodes = dist.quantile_many(mids[:, None] + halves[:, None] * _GL_NODES)
 
-    spans = [(0.5 * (b - a), 0.5 * (a + b)) for a, b in zip(ts, ts[1:]) if b > a]
-    pieces = [
-        _weighted_fsum(_GL_WEIGHTS, [fn(dist.quantile(mid + half * x)) for x in _GL_NODES])
-        for half, mid in spans
-    ]
-    return _weighted_fsum([half for half, _ in spans], pieces)
+    def integrate(f):
+        pieces = [math.fsum(row) for row in (_GL_WEIGHTS * f.reshape(nodes.shape)).tolist()]
+        return math.fsum((halves * pieces).tolist())
+
+    return _fields(fn(nodes.ravel()), integrate)
 
 
-def _weighted_fsum(weights: Sequence[float], values: list) -> float | tuple[float, ...]:
-    """``math.fsum`` of ``w * f`` over paired weights and values, per field of tuple values."""
-    if values and isinstance(values[0], tuple):
-        return tuple(math.fsum(w * f for w, f in zip(weights, field)) for field in zip(*values))
-    return math.fsum(w * f for w, f in zip(weights, values))
+def _fields(values, integrate: Callable[[np.ndarray], float]) -> float | tuple[float, ...]:
+    """``integrate`` of an integrand's array, or of each array of its tuple."""
+    if isinstance(values, tuple):
+        return tuple(integrate(f) for f in values)
+    return integrate(values)

@@ -41,6 +41,7 @@ from .mechanism import (
     TradeInstance,
     _check_value,
     buyer_best_response,
+    buyer_best_response_many,
     buyer_response_breakpoints,
     equilibrium,
 )
@@ -90,34 +91,39 @@ def decompose_fixed_v(v: float, seller: Distribution, lam: float) -> Decompositi
     """
     lam = _check_lambda(lam)
     v = _check_value(v)
-    return _decompose(v, seller, lam, buyer_best_response(v, seller).utility)
+    x_v, b, *fields = (float(f[0]) for f in _decompose(np.asarray([v]), seller, lam))
+    return Decomposition(v, lam, x_v, b, *fields, u_B_opt=buyer_best_response(v, seller).utility)
 
 
-def _decompose(v: float, seller: Distribution, lam: float, u_b_opt: float) -> Decomposition:
-    """:func:`decompose_fixed_v` on checked arguments, with ``u_B_opt`` given."""
+def _decompose(v: np.ndarray, seller: Distribution, lam) -> tuple[np.ndarray, ...]:
+    """Decomposition fields at each value of ``v``, with ``lam`` a float or an array alongside.
+
+    The fields of :class:`Decomposition` from ``x_v`` to ``u_B_dev``.
+    """
     x_v, b, fb_v, area_a, u_s_geom = _quantile_fields(v, seller, lam)
-    area_s = area_b = u_b_dev = 0.0
-    if x_v > 0.0:
-        area_s = seller.integrate_cdf(seller.support_min, b)
-        area_b = seller.integrate_cdf(b, v)
-        u_b_dev = (v - b) * seller.cdf(b)
-    return Decomposition(
-        v=v, lam=lam, x_v=x_v, b_lambda=b, fb_v=fb_v,
-        area_S=area_s, area_B=area_b, area_A=area_a,
-        u_S_geom=u_s_geom, u_B_dev=u_b_dev, u_B_opt=u_b_opt,
-    )
+    traded = x_v > 0.0
+    # the cdf's prefix table reads 0 at support_min, so it is area_S itself
+    area_s = np.where(traded, seller._integrate_cdf_to_many(b), 0.0)
+    area_b = np.where(traded, seller._integrate_cdf_to_many(v) - area_s, 0.0)
+    u_b_dev = np.where(traded, (v - b) * seller.cdf_many(b), 0.0)
+    return x_v, b, fb_v, area_s, area_b, area_a, u_s_geom, u_b_dev
 
 
-def _quantile_fields(v: float, seller: Distribution, lam: float) -> tuple[float, ...]:
-    """``(x_v, b_lambda, fb_v, area_A, u_S_geom)``: the decomposition with no ``integrate_cdf``."""
-    x_v = seller.cdf(v)
-    if x_v <= 0.0:
-        return 0.0, seller.quantile(0.0), 0.0, 0.0, 0.0
+def _quantile_fields(v: np.ndarray, seller: Distribution, lam) -> tuple[np.ndarray, ...]:
+    """``(x_v, b_lambda, fb_v, area_A, u_S_geom)`` at each value: the decomposition with no ``integrate_cdf``."""
+    x_v = seller.cdf_many(v)
     lx = lam * x_v
-    cost_to_xv = seller.integrate_quantile(0.0, x_v)
-    cost_to_lx = seller.integrate_quantile(0.0, lx)
+    cost_to_xv = seller._integrate_quantile_to_many(x_v)
+    cost_to_lx = seller._integrate_quantile_to_many(lx)
     area_a = v * (x_v - lx) - (cost_to_xv - cost_to_lx)
-    return x_v, seller.quantile(lx), v * x_v - cost_to_xv, area_a, lam * cost_to_xv - cost_to_lx
+    traded = x_v > 0.0
+    return (
+        x_v,
+        seller.quantile_many(lx),
+        np.where(traded, v * x_v - cost_to_xv, 0.0),
+        np.where(traded, area_a, 0.0),
+        np.where(traded, lam * cost_to_xv - cost_to_lx, 0.0),
+    )
 
 
 def buyer_deviation_bound(v: float, seller: Distribution, lam: float) -> tuple[float, float]:
@@ -184,20 +190,20 @@ def _decomposition_breakpoints(seller: Distribution, lam: float) -> list[float]:
     """Buyer values where any fixed-v decomposition field can kink."""
     breaks = set(seller.knot_values())
     if isinstance(seller, PiecewiseLinearDistribution):
-        # values where lambda * x(v) crosses a quantile knot level
-        for qk in seller.qs:
-            level = qk / lam
-            if level <= 1.0:
-                breaks.add(seller.quantile(level))
+        # values where lambda * x(v) crosses a quantile knot level; a
+        # subnormal lambda overflows the high levels to inf, which are dropped
+        with np.errstate(over="ignore"):
+            levels = seller._qs_arr / lam
+        breaks.update(seller.quantile_many(levels[levels <= 1.0]).tolist())
     return sorted(breaks)
 
 
-def _probe_values(buyer: Distribution, grid: int = 129) -> list[float]:
-    """Deterministic conditioning values covering the buyer prior."""
+def _probe_values(buyer: Distribution, grid: int = 129) -> np.ndarray:
+    """Deterministic conditioning values covering the buyer prior, ascending."""
     if isinstance(buyer, DiscreteDistribution):
-        return list(buyer.values)
+        return buyer._values_arr
     ts = sorted(set(buyer.qs) | {i / (grid - 1) for i in range(grid)})
-    return sorted({buyer.quantile(t) for t in ts})
+    return np.asarray(sorted(set(buyer.quantile_many(np.asarray(ts)).tolist())))
 
 
 @dataclass(frozen=True)
@@ -231,9 +237,9 @@ def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDec
     lam = _check_lambda(lam)
     buyer, seller = instance.buyer, instance.seller
 
-    def record(v: float) -> tuple[float, ...]:
-        d = decompose_fixed_v(v, seller, lam)
-        return d.fb_v, d.area_S, d.area_B, d.area_A, d.u_S_geom, d.u_B_dev, d.u_B_opt
+    def record(vs: np.ndarray) -> tuple[np.ndarray, ...]:
+        _, _, *fields = _decompose(vs, seller, lam)
+        return (*fields, buyer_best_response_many(vs, seller)[1])
 
     breaks = _decomposition_breakpoints(seller, lam)
     if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
@@ -300,63 +306,84 @@ def verify_bounds(instance: TradeInstance, lam: float) -> BoundReport:
 def sweep_bounds(instance: TradeInstance, lams) -> list[BoundReport]:
     """:func:`verify_bounds` at each lambda of ``lams``, on one equilibrium."""
     lams = [_check_lambda(lam) for lam in lams]
-    eq = equilibrium(instance)
-    return [_bound_report(instance, eq, lam) for lam in lams]
+    return _bound_report(instance, equilibrium(instance), lams)
 
 
-def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lam: float) -> BoundReport:
-    buyer, seller = instance.buyer, instance.seller
-    log_term = _log_inverse(lam)
+#: Most probe value x lambda pairs that :func:`_bound_report` decomposes in
+#: one pass, so that its memory stays bounded however many lambdas it gets.
+_BLOCK_PAIRS = 2**16
 
-    # full decompositions at the probe values, which include every atom of a
-    # discrete buyer; no bound reads u_B_opt, so no best response is computed
-    probes = {v: _decompose(v, seller, lam, math.nan) for v in _probe_values(buyer)}
 
-    def record(v: float) -> tuple[float, float]:
-        d = probes.get(v)
-        if d is not None:
-            return d.area_A, d.u_S_geom
-        return _quantile_fields(v, seller, lam)[3:]
+def _probe_terms(probes: np.ndarray, seller: Distribution, lams: list[float]) -> tuple[np.ndarray, ...]:
+    """``(area_A, u_S_geom, buyer scaling term, seller scaling term)`` with row ``k`` at ``lams[k]``.
 
-    breaks: list[float] = []
-    if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
-        breaks = _decomposition_breakpoints(seller, lam)
-    mean_area_a, mean_u_s_geom = expect(buyer, record, breaks)
-
-    # seeded with inf and taken in probe order, so a NaN term is skipped
-    decs = probes.values()
-    buyer_scale_min = min([math.inf] + [d.u_B_dev - lam * d.area_B for d in decs])
-    seller_scale_min = min([math.inf] + [d.u_S_geom - (1.0 - lam) * d.area_S for d in decs])
-
-    slacks = {
-        "identity": mean_u_s_geom + mean_area_a - (1.0 - lam) * eq.fb,
-        "area_log": eq.u_buyer * log_term - mean_area_a,
-        "avg": eq.u_seller + eq.u_buyer * log_term - (1.0 - lam) * eq.fb,
-        "avg_swap": eq.u_buyer + eq.u_seller * log_term - (1.0 - lam) * eq.fb,
-        "gft_floor": eq.gft - (1.0 - lam) * eq.fb / (1.0 + log_term),
-        "buyer_scale_min": buyer_scale_min,
-        "seller_scale_min": seller_scale_min,
-    }
-    if lam == 0.5:
-        slacks["quarter"] = eq.gft - eq.fb / 4.0
-
-    tol = SLACK_TOL * max(1.0, abs(eq.fb))
-    # written so that a NaN slack fails too
-    if not abs(slacks["identity"]) <= tol:
-        raise InvariantViolation(
-            f"identity slack {slacks['identity']!r} exceeds tolerance {tol!r}"
-        )
-    for name, slack in slacks.items():
-        if name != "identity" and not slack >= -tol:
-            raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
-
-    return BoundReport(
-        lam=lam,
-        fb=eq.fb,
-        gft=eq.gft,
-        u_buyer=eq.u_buyer,
-        u_seller=eq.u_seller,
-        mean_area_A=mean_area_a,
-        mean_u_S_geom=mean_u_s_geom,
-        slacks=slacks,
+    The full decompositions at the probe values for every lambda, in one
+    flat pass; no bound reads ``u_B_opt``, so no best response is computed.
+    """
+    lam_col = np.repeat(lams, probes.size)
+    _, _, _, area_s, area_b, area_a, u_s_geom, u_b_dev = (
+        f.reshape(len(lams), probes.size)
+        for f in _decompose(np.tile(probes, len(lams)), seller, lam_col)
     )
+    lam_row = lam_col.reshape(len(lams), probes.size)
+    return area_a, u_s_geom, u_b_dev - lam_row * area_b, u_s_geom - (1.0 - lam_row) * area_s
+
+
+def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams) -> list[BoundReport]:
+    """One :class:`BoundReport` per lambda of ``lams`` (a float counts as one)."""
+    buyer, seller = instance.buyer, instance.seller
+    lams = np.atleast_1d(np.asarray(lams, dtype=float)).tolist()
+    # the probe values include every atom of a discrete buyer
+    probes = _probe_values(buyer)
+    block = max(1, _BLOCK_PAIRS // probes.size)
+
+    reports = []
+    for k, lam in enumerate(lams):
+        row = k % block
+        if row == 0:  # the lambdas from k on, a block at a time
+            area_a, u_s_geom, buyer_terms, seller_terms = _probe_terms(probes, seller, lams[k : k + block])
+        if isinstance(buyer, PiecewiseLinearDistribution):
+            means = expect(
+                buyer,
+                lambda vs, lam=lam: _quantile_fields(vs, seller, lam)[3:],
+                _decomposition_breakpoints(seller, lam),
+            )
+        else:
+            # expect's nodes are the atoms, which are the probe values
+            means = expect(buyer, lambda _, row=row: (area_a[row], u_s_geom[row]))
+        mean_area_a, mean_u_s_geom = means
+        log_term = _log_inverse(lam)
+        slacks = {
+            "identity": mean_u_s_geom + mean_area_a - (1.0 - lam) * eq.fb,
+            "area_log": eq.u_buyer * log_term - mean_area_a,
+            "avg": eq.u_seller + eq.u_buyer * log_term - (1.0 - lam) * eq.fb,
+            "avg_swap": eq.u_buyer + eq.u_seller * log_term - (1.0 - lam) * eq.fb,
+            "gft_floor": eq.gft - (1.0 - lam) * eq.fb / (1.0 + log_term),
+            # seeded with inf and taken in probe order, so a NaN term is skipped
+            "buyer_scale_min": min([math.inf] + buyer_terms[row].tolist()),
+            "seller_scale_min": min([math.inf] + seller_terms[row].tolist()),
+        }
+        if lam == 0.5:
+            slacks["quarter"] = eq.gft - eq.fb / 4.0
+
+        tol = SLACK_TOL * max(1.0, abs(eq.fb))
+        # written so that a NaN slack fails too
+        if not abs(slacks["identity"]) <= tol:
+            raise InvariantViolation(
+                f"identity slack {slacks['identity']!r} exceeds tolerance {tol!r}"
+            )
+        for name, slack in slacks.items():
+            if name != "identity" and not slack >= -tol:
+                raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
+
+        reports.append(BoundReport(
+            lam=lam,
+            fb=eq.fb,
+            gft=eq.gft,
+            u_buyer=eq.u_buyer,
+            u_seller=eq.u_seller,
+            mean_area_A=mean_area_a,
+            mean_u_S_geom=mean_u_s_geom,
+            slacks=slacks,
+        ))
+    return reports

@@ -21,9 +21,9 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution
 from .errors import DomainError
-from .mechanism import TradeInstance, buyer_best_response, role_swap
-# unused here, kept importable: the benchmark's traced runs wrap this name
-from .mechanism import seller_best_response  # noqa: F401
+from .mechanism import TradeInstance, buyer_best_response_many, role_swap
+# unused here, kept importable: the benchmark's traced runs wrap these names
+from .mechanism import buyer_best_response, seller_best_response  # noqa: F401
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -94,68 +94,31 @@ def _check_trials(trials: int) -> int:
 # vectorized best-response prices
 
 
-def _buyer_prices(values: np.ndarray, seller: Distribution) -> np.ndarray:
-    """Best-response prices of ``values`` over the envelope entries around each value.
-
-    Each entry offers one price per value: a knot its own, a segment its
-    stationary price inside ``[lo, hi]`` and its end knot outside it. The
-    arrays are laid out one row per window entry, so every operation runs
-    along the values.
-    """
-    env = seller.buyer_envelope
-    lo, hi, r, below, above = (
-        np.asarray(col)
-        for col in zip(*((lo, hi, r, fixed[0][0], fixed[-1][0]) for fixed, lo, hi, r in env.entries))
-    )
-    # the entry on top and its neighbours, at most as many as there are entries
-    width = min(3, lo.size)
-    top = np.searchsorted(np.asarray(env.starts), values, side="right") - 1
-    rows = np.clip(top - 1, 0, lo.size - width) + np.arange(width)[:, None]
-    lo, hi, r, below, above = (np.take(col, rows) for col in (lo, hi, r, below, above))
-    arc = (lo <= values) & (values <= hi)
-    prices = np.where(values < lo, below, np.where(values > hi, above, 0.5 * (values - r)))
-    valid = arc | (prices <= values)
-    trade = seller.cdf_many(prices)
-    utility = np.where(valid, (values - prices) * trade, -np.inf)
-    best_u = utility.max(axis=0)
-    tie_u = utility == best_u
-    best_t = np.where(tie_u, trade, -np.inf).max(axis=0)
-    best = -np.where(tie_u & (trade == best_t), -prices, -np.inf).max(axis=0)
-    return np.where(np.isfinite(best_u), best, values)
-
-
-def _atom_prices(buyer: DiscreteDistribution, seller: Distribution) -> np.ndarray:
-    """Best-response price of each buyer atom, in atom order."""
-    return np.asarray([buyer_best_response(v, seller).price for v in buyer.values])
-
-
 def _proposer_prices(
     instance: TradeInstance,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Vectorized best-response prices of the buyer and of the seller as proposers.
 
-    Each takes the keys :func:`_draw` returns with the types. A discrete
-    proposer's prices are solved once per atom and looked up by atom index;
-    otherwise each type's price is chosen among the opponent's envelope
-    entries around it. The seller proposes as the buyer of the role-swapped
-    instance, whose atoms are hers reversed and negated, so her table is
-    that one reversed and negated back; negation is exact.
+    Each takes the keys :func:`_draw` returns with the types, and prices
+    them with :func:`buyer_best_response_many`, the exact path's pricer. A
+    discrete proposer's prices are solved once over its atoms and looked up
+    by atom index; otherwise each sampled type is priced. The seller of cost
+    ``c`` proposes as the buyer of value ``-c`` of the role-swapped instance;
+    negation is exact.
     """
     buyer, seller = instance.buyer, instance.seller
     swapped = role_swap(instance)
 
+    def price_b(values):
+        return buyer_best_response_many(values, seller)[0]
+
+    def price_s(costs):
+        return -buyer_best_response_many(-costs, swapped.seller)[0]
+
     if isinstance(buyer, DiscreteDistribution):
-        price_b = _atom_prices(buyer, seller).__getitem__
-    else:
-        def price_b(values):
-            return _buyer_prices(values, seller)
-
+        price_b = price_b(buyer._values_arr).__getitem__
     if isinstance(seller, DiscreteDistribution):
-        price_s = (-_atom_prices(swapped.buyer, swapped.seller)[::-1]).__getitem__
-    else:
-        def price_s(costs):
-            return -_buyer_prices(-costs, swapped.seller)
-
+        price_s = price_s(seller._values_arr).__getitem__
     return price_b, price_s
 
 

@@ -112,6 +112,18 @@ def test_cdf_refuses_a_nan_price():
         assert (d.survival(-math.inf), d.survival(math.inf)) == (1.0, 0.0)
 
 
+def test_vectorized_prices_refuse_nan():
+    # np.searchsorted sorts NaN above every value, so unchecked the discrete
+    # prior read [1.0, 0.5] here and the pwl prior NaN
+    two = DiscreteDistribution.from_atoms([(0.1, 0.5), (0.6, 0.5)])
+    for d in (two, uniform(0, 1)):
+        for f in (d.cdf_many, d.cdf_left_many, d.survival_many):
+            with pytest.raises(DomainError):
+                f(np.array([math.nan, 0.3]))
+        assert d.cdf_many(np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+        assert d.survival_many(np.array([-math.inf, math.inf])).tolist() == [1.0, 0.0]
+
+
 def test_sample_examples():
     assert point(1.0).sample(0.7) == 1.0
     assert uniform(0, 1).sample(0.42) == 0.42
@@ -541,6 +553,23 @@ def test_vectorized_matches_scalar(d):
     ps = np.linspace(d.support_min - 0.5, d.support_max + 0.5, 41)
     assert all(d.cdf_many(ps)[i] == d.cdf(p) for i, p in enumerate(ps))
     assert all(d.survival_many(ps)[i] == d.survival(p) for i, p in enumerate(ps))
+    assert all(d.cdf_left_many(ps)[i] == d.cdf_left(p) for i, p in enumerate(ps))
+
+
+@given(dists)
+@settings(max_examples=100, deadline=None)
+def test_array_prefix_lookups_match_scalar_bit_for_bit(d):
+    # knots, their neighbouring floats and a spread, inside and outside the support
+    qs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 41), d._cum_arr if d.kind == "discrete" else d._qs_arr]))
+    knots = np.asarray(d.knot_values())
+    ps = np.concatenate([
+        np.linspace(d.support_min - 0.5, d.support_max + 0.5, 41),
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+    ])
+    got = d._integrate_quantile_to_many(qs).tolist()
+    assert [x.hex() for x in got] == [d._integrate_quantile_to(q).hex() for q in qs.tolist()]
+    got = d._integrate_cdf_to_many(ps).tolist()
+    assert [x.hex() for x in got] == [d._integrate_cdf_to(p).hex() for p in ps.tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -616,23 +645,23 @@ def test_expect_pwl_polynomial_is_exact():
 
 def test_expect_handles_declared_jump():
     u = uniform(0.0, 1.0)
-    f = lambda v: 1.0 if v >= 0.3 else 0.0
+    f = lambda v: np.where(v >= 0.3, 1.0, 0.0)
     assert expect(u, f, breakpoints=[0.3]) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_expect_integrates_each_piece_once():
     # knots at q = 0, 0.25, 0.5, 1 with an atom at 0.5 (the flat run); the
     # breakpoint 1.0 adds the cut q = 2/3, the atom and the out-of-support
-    # breakpoints add none: four pieces, one 7-point rule each
+    # breakpoints add none: four pieces, one 7-point rule each, in one call
     d = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)])
     calls = []
     expect(d, lambda v: calls.append(v) or v, breakpoints=[-1.0, 0.5, 1.0, 5.0])
-    assert len(calls) == 4 * 7
+    assert [v.shape for v in calls] == [(4 * 7,)]
 
 
 def _record(v):
     # three fields with different kinks, jumps and magnitudes
-    return (v * v - 0.3 * v, max(v - 0.45, 0.0), 1.0 if v >= 0.5 else math.exp(v))
+    return (v * v - 0.3 * v, np.maximum(v - 0.45, 0.0), np.where(v >= 0.5, 1.0, np.exp(v)))
 
 
 @pytest.mark.parametrize(
@@ -660,7 +689,27 @@ def test_expect_record_runs_once_per_node():
     d = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)])
     calls = []
     expect(d, lambda v: calls.append(v) or _record(v), breakpoints=[-1.0, 0.5, 1.0, 5.0])
-    assert len(calls) == 4 * 7
+    assert [v.shape for v in calls] == [(4 * 7,)]
     calls.clear()
     expect(COIN, lambda v: calls.append(v) or _record(v))
-    assert calls == list(COIN.values)
+    assert [v.tolist() for v in calls] == [list(COIN.values)]
+
+
+def test_cached_arrays_refuse_in_place_writes():
+    # a discrete prior hands expect's integrand its own cached atom values, so
+    # an integrand that works in place must fail, not rewrite the frozen prior
+    d = DiscreteDistribution.from_atoms([(-1.0, 0.25), (0.5, 0.25), (2.0, 0.5)])
+    before = expect(d, lambda v: np.maximum(v, 0.0))
+    with pytest.raises(ValueError, match="read-only"):
+        expect(d, lambda v: np.maximum(v, 0.0, out=v))
+    with pytest.raises(ValueError, match="read-only"):
+        expect(d, lambda v: v.__isub__(1.0))
+    assert expect(d, lambda v: np.maximum(v, 0.0)) == before
+    assert d.cdf_many(np.asarray([-1.0, 0.5, 2.0])).tolist() == [0.25, 0.5, 1.0]
+    pwl = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)])
+    cached = [
+        d._values_arr, d._probs_arr, d._cum_arr, d._cum_padded, d._quantile_prefix_arr, d._cdf_prefix_arr,
+        pwl._qs_arr, pwl._vals_arr, *pwl._steps, pwl._quantile_prefix_arr, pwl._cdf_prefix_arr,
+        *d.buyer_envelope.columns, *pwl.buyer_envelope.columns,
+    ]
+    assert not any(a.flags.writeable for a in cached)

@@ -19,11 +19,14 @@ from tradegains import (
     TradeInstance,
     buyer_best_response,
     equilibrium,
+    expect,
+    geometry,
     mechanism,
     seller_best_response,
+    sweep_bounds,
 )
 
-from conftest import budget, random_pwl
+from conftest import LAMBDA_GRID, budget, random_pwl
 
 
 def scan(v, seller):
@@ -98,8 +101,25 @@ def test_envelope_matches_the_scan_bit_for_bit(seller, negate):
     got = [buyer_best_response(v, seller) for v in vs]
     want = [scan(v, seller) for v in vs]
     assert [(g.price, g.utility, g.trade_prob) for g in got] == want
-    # the Monte Carlo pricer reads the same envelope
-    assert mc._buyer_prices(np.asarray(vs), seller).tolist() == [w[0] for w in want]
+    # the Monte Carlo pricer reads the same envelope, and equilibrium integrates its triples
+    got_many = zip(*(a.tolist() for a in mechanism.buyer_best_response_many(np.asarray(vs), seller)))
+    assert [tuple(map(float.hex, g)) for g in got_many] == [tuple(map(float.hex, w)) for w in want]
+
+
+@pytest.mark.parametrize("array_min", (0, math.inf), ids=("arrays", "value-by-value"))
+@pytest.mark.parametrize("seller", SELLERS)
+def test_both_best_response_branches_match_the_scan_bit_for_bit(seller, array_min, monkeypatch):
+    # either branch at every size: all the probes in one call, then in runs of 5
+    monkeypatch.setattr(mechanism, "_ARRAY_MIN", array_min)
+    for side in (seller, seller.negate()):
+        vs = probes(side, np.random.default_rng(len(side.knot_values())))
+        want = [tuple(map(float.hex, scan(v, side))) for v in vs]
+        for size in (len(vs), 5):
+            got = []
+            for i in range(0, len(vs), size):
+                batch = np.asarray(vs[i : i + size])
+                got += zip(*(a.tolist() for a in mechanism.buyer_best_response_many(batch, side)))
+            assert [tuple(map(float.hex, g)) for g in got] == want
 
 
 @pytest.mark.parametrize("k", (1, -1, 300, -300, 900, -900))
@@ -188,6 +208,21 @@ def test_coarse_grid_ties_keep_the_optimal_utility():
     assert worst <= 1e-15
 
 
+def test_simulate_prices_coarse_grid_ties_like_the_exact_path():
+    # simulate prices a pwl proposer's sampled types; at every near tie it must
+    # pick the very price buyer_best_response picks, e.g. the knot 1.0 on
+    # coarse_grid(118) at v = 2.0, which earns one ulp more than the
+    # stationary price 0.9999999999999999 of the segment it ends
+    for seed in range(400):
+        for seller in (coarse_grid(seed), coarse_grid(seed).negate()):
+            sign = 1.0 if seller.support_max >= 0.0 else -1.0
+            vs = [sign * i / 16 for i in range(-40, 120)]
+            buyer = PiecewiseLinearDistribution.from_knots([(0.0, min(vs)), (1.0, max(vs))])
+            price_b, _ = mc._proposer_prices(TradeInstance(buyer=buyer, seller=seller))
+            assert price_b(np.asarray(vs)).tolist() == [buyer_best_response(v, seller).price for v in vs]
+    assert buyer_best_response(2.0, coarse_grid(118)).price == 1.0
+
+
 # --------------------------------------------------------------------------
 # work bounds, by count
 
@@ -211,6 +246,44 @@ def test_best_response_cdf_calls_are_logarithmic(monkeypatch):
         calls = 0
         buyer_best_response(v, seller)
         assert calls <= limit
+
+
+def test_array_pipeline_makes_no_scalar_lookups(monkeypatch):
+    # once both envelopes are built, every lookup of equilibrium and of a
+    # 19-lambda sweep runs over arrays, and each expect calls its integrand once
+    rng = np.random.default_rng(4096)
+    sides = []
+    for _ in range(2):
+        values = np.unique(rng.uniform(0.0, 1.0, 4096))
+        sides.append(DiscreteDistribution.from_atoms(zip(values.tolist(), rng.dirichlet(np.ones(len(values))).tolist())))
+    instance = TradeInstance(buyer=sides[0], seller=sides[1])
+    equilibrium(instance)
+
+    scalar_calls = []
+    for name in ("cdf", "cdf_left", "quantile", "_integrate_quantile_to", "_integrate_cdf_to"):
+        original = getattr(DiscreteDistribution, name)
+        monkeypatch.setattr(
+            DiscreteDistribution, name,
+            lambda self, *args, _name=name, _original=original: scalar_calls.append(_name) or _original(self, *args),
+        )
+    integrand_calls = []
+
+    def counting_expect(dist, fn, breakpoints=()):
+        integrand_calls.append(0)
+
+        def counted(vs):
+            integrand_calls[-1] += 1
+            return fn(vs)
+
+        return expect(dist, counted, breakpoints)
+
+    monkeypatch.setattr(mechanism, "expect", counting_expect)
+    monkeypatch.setattr(geometry, "expect", counting_expect)
+    equilibrium(instance)
+    sweep_bounds(instance, LAMBDA_GRID)
+    assert scalar_calls == []
+    # first best and both proposer sides, then E[area_A], E[u_S_geom] per lambda
+    assert integrand_calls == [1] * (3 + 3 + len(LAMBDA_GRID))
 
 
 @pytest.mark.parametrize("seed", range(10))

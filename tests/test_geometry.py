@@ -322,19 +322,51 @@ def test_verify_bounds_lambda_domain():
 
 @pytest.mark.parametrize("seller", [U01, COIN], ids=["pwl", "discrete"])
 def test_verify_bounds_integrates_cdf_only_at_probe_values(monkeypatch, seller):
-    # a decomposition's price-space fields take two integrate_cdf calls,
-    # (support_min, b) then (b, v); the quadrature nodes of E[area_A] and
-    # E[u_S_geom] need only its quantile-space fields
+    # a decomposition's price-space fields read the cdf's prefix table at
+    # support_min, at b and at v: once per probe value, with b = c(lam * x(v));
+    # the quadrature nodes of E[area_A] and E[u_S_geom] need only its
+    # quantile-space fields
     buyer = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.3, 0.4), (0.6, 0.4), (1.0, 1.5)])
+    lam = 0.31784
     calls = []
-    original = type(seller).integrate_cdf
+    original = type(seller)._integrate_cdf_to_many
 
-    def spy(self, p0, p1):
-        calls.append((p0, p1))
-        return original(self, p0, p1)
+    def spy(self, p):
+        calls.extend(np.atleast_1d(p).tolist())
+        return original(self, p)
 
-    monkeypatch.setattr(type(seller), "integrate_cdf", spy)
-    verify_bounds(TradeInstance(buyer=buyer, seller=seller), 0.31784)
-    probes = set(geometry._probe_values(buyer))
-    assert calls and len(calls) <= 2 * len(probes)
-    assert {v for _, v in calls[1::2]} <= probes
+    monkeypatch.setattr(type(seller), "_integrate_cdf_to_many", spy)
+    verify_bounds(TradeInstance(buyer=buyer, seller=seller), lam)
+    probes = geometry._probe_values(buyer)
+    deviations = seller.quantile_many(lam * seller.cdf_many(probes))
+    assert calls and len(calls) <= 2 * len(probes) + 1
+    assert set(calls) <= set(probes.tolist()) | set(deviations.tolist()) | {seller.support_min}
+
+
+def test_sweep_bounds_decomposes_a_bounded_block_at_a_time(monkeypatch):
+    # a long lambda grid on a 4,096-atom buyer: no pass decomposes more than
+    # _BLOCK_PAIRS probe value x lambda pairs, so memory does not grow with the
+    # grid, and each report is the one-lambda report
+    rng = np.random.default_rng(4096)
+
+    def prior():
+        values = np.unique(rng.uniform(0.0, 1.0, 4096))
+        return DiscreteDistribution.from_atoms(zip(values.tolist(), rng.dirichlet(np.ones(len(values))).tolist()))
+
+    buyer, seller = prior(), prior()
+    instance = TradeInstance(buyer=buyer, seller=seller)
+    lams = np.linspace(0.01, 0.99, 100).tolist()
+    sizes = []
+    original = geometry._decompose
+
+    def spy(v, dist, lam):
+        sizes.append(v.size)
+        return original(v, dist, lam)
+
+    monkeypatch.setattr(geometry, "_decompose", spy)
+    reports = sweep_bounds(instance, lams)
+    assert max(sizes) <= geometry._BLOCK_PAIRS
+    assert sum(sizes) == len(lams) * len(buyer.values)
+    block = geometry._BLOCK_PAIRS // len(buyer.values)
+    for k in (0, block - 1, block, len(lams) - 1):
+        assert reports[k] == verify_bounds(instance, lams[k])

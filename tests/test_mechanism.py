@@ -185,7 +185,11 @@ def test_first_best_orientation_identity():
         if alt is None:
             from tradegains import expect
 
-            alt = expect(instance.buyer, horizontal, breakpoints=seller.knot_values())
+            alt = expect(
+                instance.buyer,
+                lambda vs: np.asarray([horizontal(v) for v in vs.tolist()]),
+                breakpoints=seller.knot_values(),
+            )
         assert first_best(instance) == pytest.approx(alt, rel=1e-12, abs=1e-12)
 
 

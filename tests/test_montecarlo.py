@@ -15,6 +15,7 @@ from tradegains import (
     PiecewiseLinearDistribution,
     TradeInstance,
     buyer_best_response,
+    buyer_best_response_many,
     equilibrium,
     first_best,
     point,
@@ -114,9 +115,9 @@ def test_pwl_proposer_prices_match_scalar_path():
     )
     for opponent in (uniform(0, 1), uniform(0.3, 0.8), discrete, random_pwl(rng, 8), with_atom):
         w = np.linspace(-0.2, 1.3, 61)
-        vb = mc._buyer_prices(w, opponent)
+        vb = buyer_best_response_many(w, opponent)[0]
         # the seller side is priced on the role-swapped instance
-        vs = -mc._buyer_prices(-w, opponent.negate())
+        vs = -buyer_best_response_many(-w, opponent.negate())[0]
         for i, x in enumerate(w):
             assert vb[i] == buyer_best_response(x, opponent).price
             assert vs[i] == seller_best_response(x, opponent).price
@@ -141,11 +142,11 @@ def _reference_report(instance, trials, seed):
     if isinstance(buyer, DiscreteDistribution):
         pb = by_value(v[b], lambda x: buyer_best_response(x, seller))
     else:
-        pb = mc._buyer_prices(v[b], seller)
+        pb = buyer_best_response_many(v[b], seller)[0]
     if isinstance(seller, DiscreteDistribution):
         ps = by_value(c[s], lambda x: seller_best_response(x, buyer))
     else:
-        ps = -mc._buyer_prices(-c[s], buyer.negate())
+        ps = -buyer_best_response_many(-c[s], buyer.negate())[0]
     gft = np.zeros(trials)
     gft[b] = np.where(c[b] <= pb, v[b] - c[b], 0.0)
     gft[s] = np.where(v[s] >= ps, v[s] - c[s], 0.0)
