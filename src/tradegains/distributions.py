@@ -114,13 +114,15 @@ class Distribution:
 
     # -- exact integrals ---------------------------------------------------
 
-    # Each representation caches two prefix tables, built once in O(K), and
-    # answers ``_integrate_quantile_to(q) = integrate_quantile(0, q)`` and
-    # ``_integrate_cdf_to(p) = integrate_cdf(support_min, p)`` (0 below the
-    # support) with one O(log K) lookup each. The last piece of a lookup
-    # starts at the knot just below its argument and the cdf table sums
-    # value gaps, so no term of ``integrate_cdf`` carries the values' offset
-    # from 0, and scaling every value by a power of two scales it exactly.
+    # Each representation caches two prefix tables, read-only arrays built
+    # once in O(K), and answers ``_integrate_quantile_to_many(q)``, which is
+    # ``integrate_quantile(0, q)`` at each element, and
+    # ``_integrate_cdf_to_many(p)``, which is ``integrate_cdf(support_min, p)``
+    # (0 below the support), with one O(log K) lookup per element. The last
+    # piece of a lookup starts at the knot just below its argument and the cdf
+    # table sums value gaps, so no term of ``integrate_cdf`` carries the
+    # values' offset from 0, and scaling every value by a power of two scales
+    # it exactly.
 
     def integrate_quantile(self, q0: float, q1: float) -> float:
         """Exact ``integral of quantile(q) dq`` over ``[q0, q1]``."""
@@ -130,10 +132,8 @@ class Distribution:
             raise DomainError(f"inverted bounds: q0={q0!r} > q1={q1!r}")
         if q0 == q1:
             return 0.0
-        total = self._integrate_quantile_to(q1)
-        if q0 > 0.0:
-            total -= self._integrate_quantile_to(q0)
-        return total
+        lo, hi = self._integrate_quantile_to_many(np.array([q0, q1]))
+        return float(hi - lo)
 
     def integrate_cdf(self, p0: float, p1: float) -> float:
         """Exact ``integral of cdf(p) dp`` over ``[p0, p1]``.
@@ -146,18 +146,8 @@ class Distribution:
         _check_price_bounds(p0, p1)
         if p0 == p1:  # also at p0 = p1 = inf, where the difference below is NaN
             return 0.0
-        return self._integrate_cdf_to(p1) - self._integrate_cdf_to(p0)
-
-    # ``_integrate_quantile_to_many`` and ``_integrate_cdf_to_many`` answer the
-    # same lookups at every element of an array, in the scalar's arithmetic.
-
-    @cached_property
-    def _quantile_prefix_arr(self) -> np.ndarray:
-        return _read_only(np.asarray(self._quantile_prefix))
-
-    @cached_property
-    def _cdf_prefix_arr(self) -> np.ndarray:
-        return _read_only(np.asarray(self._cdf_prefix))
+        lo, hi = self._integrate_cdf_to_many(np.array([p0, p1], dtype=float))
+        return float(hi - lo)
 
     def mean(self) -> float:
         """Expected value, computed directly from atoms/knots."""
@@ -288,7 +278,7 @@ class DiscreteDistribution(Distribution):
         return self.cum[i - 1] if i > 0 else 0.0
 
     @cached_property
-    def _quantile_prefix(self) -> tuple[float, ...]:
+    def _quantile_prefix(self) -> np.ndarray:
         """``integrate_quantile(0, cum[i - 1])`` at index ``i``, summed left to right."""
         out = [0.0]
         total = prev = 0.0
@@ -297,35 +287,24 @@ class DiscreteDistribution(Distribution):
                 total += v * (c - prev)
             out.append(total)
             prev = c
-        return tuple(out)
-
-    def _integrate_quantile_to(self, q: float) -> float:
-        i = bisect.bisect_left(self.cum, q)
-        prev = self.cum[i - 1] if i > 0 else 0.0
-        return self._quantile_prefix[i] + self.values[i] * (q - prev)
+        return _read_only(np.array(out))
 
     def _integrate_quantile_to_many(self, q: np.ndarray) -> np.ndarray:
         i = self._cum_arr.searchsorted(q, side="left")
-        return self._quantile_prefix_arr[i] + self._values_arr[i] * (q - self._cum_padded[i])
+        return self._quantile_prefix[i] + self._values_arr[i] * (q - self._cum_padded[i])
 
     @cached_property
-    def _cdf_prefix(self) -> tuple[float, ...]:
+    def _cdf_prefix(self) -> np.ndarray:
         """``integrate_cdf(values[0], values[i])`` at index ``i``, summed left to right."""
         values, cum = self.values, self.cum
         out = [0.0]
         for i in range(1, len(values)):
             out.append(out[-1] + cum[i - 1] * (values[i] - values[i - 1]))
-        return tuple(out)
-
-    def _integrate_cdf_to(self, p: float) -> float:
-        i = bisect.bisect_right(self.values, p)
-        if i == 0:
-            return 0.0
-        return self._cdf_prefix[i - 1] + self.cum[i - 1] * (p - self.values[i - 1])
+        return _read_only(np.array(out))
 
     def _integrate_cdf_to_many(self, p: np.ndarray) -> np.ndarray:
         j = self._values_arr[1:].searchsorted(p, side="right")  # the last atom at or below p, or 0
-        out = self._cdf_prefix_arr[j] + self._cum_arr[j] * (p - self._values_arr[j])
+        out = self._cdf_prefix[j] + self._cum_arr[j] * (p - self._values_arr[j])
         return np.where(p < self._values_arr[0], 0.0, out)
 
     def mean(self) -> float:
@@ -472,26 +451,20 @@ class PiecewiseLinearDistribution(Distribution):
     # the quantile is the polyline through (qs, vals), the CDF the one through (vals, qs)
 
     @cached_property
-    def _quantile_prefix(self) -> tuple[float, ...]:
+    def _quantile_prefix(self) -> np.ndarray:
         return _trapezoid_sums(self.qs, self.vals)
-
-    def _integrate_quantile_to(self, q: float) -> float:
-        return _polyline_area(self.qs, self.vals, self._quantile_prefix, q)
 
     def _integrate_quantile_to_many(self, q: np.ndarray) -> np.ndarray:
         dq, dv, _ = self._steps
-        return _polyline_area_many(self._qs_arr, self._vals_arr, dv, dq, self._quantile_prefix_arr, q)
+        return _polyline_area_many(self._qs_arr, self._vals_arr, dv, dq, self._quantile_prefix, q)
 
     @cached_property
-    def _cdf_prefix(self) -> tuple[float, ...]:
+    def _cdf_prefix(self) -> np.ndarray:
         return _trapezoid_sums(self.vals, self.qs)
-
-    def _integrate_cdf_to(self, p: float) -> float:
-        return _polyline_area(self.vals, self.qs, self._cdf_prefix, p)
 
     def _integrate_cdf_to_many(self, p: np.ndarray) -> np.ndarray:
         dq, _, dv = self._steps
-        return _polyline_area_many(self._vals_arr, self._qs_arr, dq, dv, self._cdf_prefix_arr, p)
+        return _polyline_area_many(self._vals_arr, self._qs_arr, dq, dv, self._cdf_prefix, p)
 
     def mean(self) -> float:
         qs, vals = self.qs, self.vals
@@ -525,8 +498,9 @@ class PiecewiseLinearDistribution(Distribution):
         return _read_only(dq), _read_only(dv), _read_only(np.where(dv > 0, dv, 1.0))
 
     # In the vectorized methods below, a search among the inner knots gives
-    # the scalar's segment, clipped to the first and last; lanes outside the
-    # support compute on that segment and are then overwritten.
+    # the scalar's segment, clipped to the first and last. A price outside
+    # the support is clipped into it before the segment's formula, which far
+    # from the support would overflow, and its lane is then overwritten.
 
     def quantile_many(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -541,7 +515,7 @@ class PiecewiseLinearDistribution(Distribution):
         vals, qs = self._vals_arr, self._qs_arr
         dq, _, dv = self._steps
         k = vals[1:-1].searchsorted(p, side="right")
-        out = qs[k] + (p - vals[k]) * dq[k] / dv[k]
+        out = qs[k] + (p.clip(vals[0], vals[-1]) - vals[k]) * dq[k] / dv[k]
         return np.where(p < vals[0], 0.0, np.where(p >= vals[-1], 1.0, out))
 
     def cdf_left_many(self, p: np.ndarray) -> np.ndarray:
@@ -550,11 +524,12 @@ class PiecewiseLinearDistribution(Distribution):
         dq, _, dv = self._steps
         k = vals[1:-1].searchsorted(p, side="left")
         # inside the support, knot k + 1 is the first at or above p
-        out = np.where(vals[k + 1] == p, qs[k + 1], qs[k] + (p - vals[k]) * dq[k] / dv[k])
+        inner = qs[k] + (p.clip(vals[0], vals[-1]) - vals[k]) * dq[k] / dv[k]
+        out = np.where(vals[k + 1] == p, qs[k + 1], inner)
         return np.where(p <= vals[0], 0.0, np.where(p > vals[-1], 1.0, out))
 
 
-def _trapezoid_sums(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ...]:
+def _trapezoid_sums(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
     """Area under the polyline through ``(xs, ys)`` from ``xs[0]`` to ``xs[k]``, at index ``k``.
 
     Summed left to right; a repeated ``x`` is a jump and adds 0.
@@ -562,36 +537,22 @@ def _trapezoid_sums(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ..
     out = [0.0]
     for k in range(1, len(xs)):
         out.append(out[-1] + (xs[k] - xs[k - 1]) * (ys[k - 1] + ys[k]) * 0.5)
-    return tuple(out)
-
-
-def _polyline_area(xs: Sequence[float], ys: Sequence[float], sums: tuple[float, ...], x: float) -> float:
-    """Area under the polyline from ``xs[0]`` to ``x``: one lookup in its ``_trapezoid_sums``.
-
-    The polyline is 0 below ``xs[0]`` and ``ys[-1]`` above ``xs[-1]``.
-    """
-    i = bisect.bisect_right(xs, x)
-    if i == 0:
-        return 0.0
-    if i == len(xs):
-        return sums[-1] + (x - xs[-1]) * ys[-1]
-    x0, y0 = xs[i - 1], ys[i - 1]
-    y = y0 + (x - x0) * (ys[i] - y0) / (xs[i] - x0)
-    return sums[i - 1] + (x - x0) * (y0 + y) * 0.5
+    return _read_only(np.array(out))
 
 
 def _polyline_area_many(
     xs: np.ndarray, ys: np.ndarray, dy: np.ndarray, dx: np.ndarray, sums: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """:func:`_polyline_area` at each element of ``x``, in the same arithmetic.
+    """Area under the polyline from ``xs[0]`` to each ``x``: one lookup in its ``_trapezoid_sums``.
 
-    ``dy`` and ``dx`` are the polyline's steps per piece, ``dx`` with no
-    zero, so that lanes off the inner pieces raise no warning.
+    The polyline is 0 below ``xs[0]`` and ``ys[-1]`` above ``xs[-1]``.
+    ``dy`` and ``dx`` are its steps per piece, ``dx`` with no zero, so
+    that lanes off the inner pieces raise no warning.
     """
     x = np.asarray(x, dtype=float)
     k = xs[1:-1].searchsorted(x, side="right")
     x0, y0 = xs[k], ys[k]
-    step = x - x0
+    step = x.clip(xs[0], xs[-1]) - x0
     inner = sums[k] + step * (y0 + (y0 + step * dy[k] / dx[k])) * 0.5
     top = sums[-1] + (x - xs[-1]) * ys[-1]
     return np.where(x < xs[0], 0.0, np.where(x >= xs[-1], top, inner))

@@ -198,11 +198,15 @@ def _decomposition_breakpoints(seller: Distribution, lam: float) -> list[float]:
     return sorted(breaks)
 
 
-def _probe_values(buyer: Distribution, grid: int = 129) -> np.ndarray:
+#: Evenly spaced quantiles, 0 and 1 included, added to a pwl buyer's knots as probes.
+_PROBE_GRID = 129
+
+
+def _probe_values(buyer: Distribution) -> np.ndarray:
     """Deterministic conditioning values covering the buyer prior, ascending."""
     if isinstance(buyer, DiscreteDistribution):
         return buyer._values_arr
-    ts = sorted(set(buyer.qs) | {i / (grid - 1) for i in range(grid)})
+    ts = sorted(set(buyer.qs) | {i / (_PROBE_GRID - 1) for i in range(_PROBE_GRID)})
     return np.asarray(sorted(set(buyer.quantile_many(np.asarray(ts)).tolist())))
 
 

@@ -204,8 +204,8 @@ def _best_response_at(v: float, seller: Distribution) -> tuple[float, float, flo
 
 
 def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
-    """:func:`buyer_best_response_many` at the one value ``v``."""
-    price, utility, trade_prob = (float(a[0]) for a in buyer_best_response_many([v], seller))
+    """:func:`buyer_best_response_many` at the one value ``v``, by the value-by-value fold."""
+    price, utility, trade_prob = _best_response_at(_check_value(v), seller)
     return BestResponse(price=price, utility=utility, trade_prob=trade_prob)
 
 

@@ -1,5 +1,6 @@
 """Distribution representations: conventions, exact integrals, validation."""
 
+import bisect
 import collections
 import functools
 import json
@@ -556,20 +557,56 @@ def test_vectorized_matches_scalar(d):
     assert all(d.cdf_left_many(ps)[i] == d.cdf_left(p) for i, p in enumerate(ps))
 
 
+def scalar_integrate_quantile_to(d, q):
+    """``integrate_quantile(0, q)`` by a scalar lookup in the prior's table, the reference."""
+    prefix = d._quantile_prefix.tolist()
+    if d.kind == "pwl":
+        return scalar_polyline_area(d.qs, d.vals, prefix, q)
+    i = bisect.bisect_left(d.cum, q)
+    prev = d.cum[i - 1] if i > 0 else 0.0
+    return prefix[i] + d.values[i] * (q - prev)
+
+
+def scalar_integrate_cdf_to(d, p):
+    """``integrate_cdf(support_min, p)`` by a scalar lookup in the prior's table, the reference."""
+    prefix = d._cdf_prefix.tolist()
+    if d.kind == "pwl":
+        return scalar_polyline_area(d.vals, d.qs, prefix, p)
+    i = bisect.bisect_right(d.values, p)
+    if i == 0:
+        return 0.0
+    return prefix[i - 1] + d.cum[i - 1] * (p - d.values[i - 1])
+
+
+def scalar_polyline_area(xs, ys, sums, x):
+    """Area under the polyline through ``(xs, ys)`` from ``xs[0]`` to ``x``: 0 below, ``ys[-1]`` above."""
+    i = bisect.bisect_right(xs, x)
+    if i == 0:
+        return 0.0
+    if i == len(xs):
+        return sums[-1] + (x - xs[-1]) * ys[-1]
+    x0, y0 = xs[i - 1], ys[i - 1]
+    y = y0 + (x - x0) * (ys[i] - y0) / (xs[i] - x0)
+    return sums[i - 1] + (x - x0) * (y0 + y) * 0.5
+
+
 @given(dists)
 @settings(max_examples=100, deadline=None)
 def test_array_prefix_lookups_match_scalar_bit_for_bit(d):
-    # knots, their neighbouring floats and a spread, inside and outside the support
+    # knots, their neighbouring floats and a spread, inside and outside the
+    # support, and far outside it: the spread scaled by 2**900 and 2**-900, and +-inf
     qs = np.unique(np.concatenate([np.linspace(0.0, 1.0, 41), d._cum_arr if d.kind == "discrete" else d._qs_arr]))
     knots = np.asarray(d.knot_values())
+    spread = np.linspace(d.support_min - 0.5, d.support_max + 0.5, 41)
+    scaled = np.concatenate([spread * 2.0**900, spread * 2.0**-900])
     ps = np.concatenate([
-        np.linspace(d.support_min - 0.5, d.support_max + 0.5, 41),
-        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        spread, knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        scaled[(scaled < d.support_min) | (scaled > d.support_max)], [-math.inf, math.inf],
     ])
     got = d._integrate_quantile_to_many(qs).tolist()
-    assert [x.hex() for x in got] == [d._integrate_quantile_to(q).hex() for q in qs.tolist()]
+    assert [x.hex() for x in got] == [scalar_integrate_quantile_to(d, q).hex() for q in qs.tolist()]
     got = d._integrate_cdf_to_many(ps).tolist()
-    assert [x.hex() for x in got] == [d._integrate_cdf_to(p).hex() for p in ps.tolist()]
+    assert [x.hex() for x in got] == [scalar_integrate_cdf_to(d, p).hex() for p in ps.tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -708,8 +745,8 @@ def test_cached_arrays_refuse_in_place_writes():
     assert d.cdf_many(np.asarray([-1.0, 0.5, 2.0])).tolist() == [0.25, 0.5, 1.0]
     pwl = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 2.0)])
     cached = [
-        d._values_arr, d._probs_arr, d._cum_arr, d._cum_padded, d._quantile_prefix_arr, d._cdf_prefix_arr,
-        pwl._qs_arr, pwl._vals_arr, *pwl._steps, pwl._quantile_prefix_arr, pwl._cdf_prefix_arr,
+        d._values_arr, d._probs_arr, d._cum_arr, d._cum_padded, d._quantile_prefix, d._cdf_prefix,
+        pwl._qs_arr, pwl._vals_arr, *pwl._steps, pwl._quantile_prefix, pwl._cdf_prefix,
         *d.buyer_envelope.columns, *pwl.buyer_envelope.columns,
     ]
     assert not any(a.flags.writeable for a in cached)

@@ -260,7 +260,7 @@ def test_array_pipeline_makes_no_scalar_lookups(monkeypatch):
     equilibrium(instance)
 
     scalar_calls = []
-    for name in ("cdf", "cdf_left", "quantile", "_integrate_quantile_to", "_integrate_cdf_to"):
+    for name in ("cdf", "cdf_left", "quantile", "integrate_quantile", "integrate_cdf"):
         original = getattr(DiscreteDistribution, name)
         monkeypatch.setattr(
             DiscreteDistribution, name,

@@ -22,7 +22,17 @@ import numpy as np
 import pytest
 
 import tradegains.cli as cli
-from tradegains import ValidationError, trade_instance_from_json
+from tradegains import (
+    PiecewiseLinearDistribution,
+    TradeInstance,
+    ValidationError,
+    equilibrium,
+    first_best,
+    point,
+    trade_instance_from_json,
+    uniform,
+    verify_bounds,
+)
 
 from conftest import budget
 
@@ -207,3 +217,22 @@ def test_search_over_an_overflowing_range_is_refused(lo, hi, capsys):
         assert cli.run(argv) == 1
     out = capsys.readouterr()
     assert out.out == "" and "overflows" in out.err
+
+
+@pytest.mark.parametrize(
+    "buyer, seller, fb",
+    [
+        (point(-1e200), uniform(0.0, 1.0), 0.0),
+        (point(-1e10), PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.5, 1e-300), (1.0, 1.0)]), 0.0),
+        (point(3e200), PiecewiseLinearDistribution.from_knots([(0.0, 1e200), (1.0, 1e200)]), 2e200),
+    ],
+    ids=["uniform-seller", "ulp-tall-step", "flat-seller"],
+)
+def test_prices_far_outside_a_pwl_support_raise_no_overflow(buyer, seller, fb):
+    # the pwl array methods evaluate their segment formula in lanes outside
+    # the support, then discard those lanes; under the suite's
+    # filterwarnings = error an overflow there fails the call
+    instance = TradeInstance(buyer=buyer, seller=seller)
+    assert first_best(instance) == fb
+    assert equilibrium(instance).fb == fb
+    assert verify_bounds(instance, 0.31784).fb == fb
