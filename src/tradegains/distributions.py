@@ -69,6 +69,15 @@ def _check_prices_many(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _check_prob_many(q: np.ndarray) -> np.ndarray:
+    """``q`` as a float array, every entry in [0, 1], as the scalar ``quantile`` requires."""
+    q = np.asarray(q, dtype=float)
+    # written so that a NaN fails too
+    if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
+        raise DomainError("all q must lie in [0, 1]")
+    return q
+
+
 def _check_unit_many(u: np.ndarray) -> np.ndarray:
     """``u`` as a float array, every entry in [0, 1)."""
     u = np.asarray(u, dtype=float)
@@ -76,6 +85,51 @@ def _check_unit_many(u: np.ndarray) -> np.ndarray:
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise DomainError("all u must lie in [0, 1)")
     return u
+
+
+class _Guide:
+    """``table.searchsorted(keys, side)`` for finite keys, in expected O(1) per key.
+
+    The indexed search of inverse-transform sampling (Chen & Asau 1974;
+    Devroye 1986, section III.2.4), for a sorted ``table`` of K entries.
+    ``[lo, hi]``, the span of its finite entries, is cut into 2K buckets; a
+    key ``x`` falls in bucket ``min(int((clip(x, lo, hi) - lo) * scale), top)``
+    and so does each entry. Every step of that formula is monotone, so
+    whatever the rounding, an entry in a lower bucket is below the key and
+    one in a higher bucket above it: only the key's own bucket is searched,
+    branchless, one step per bit of the widest bucket's width, over the
+    table padded with ``inf``. A span that is 0, overflows or is subnormal
+    gets ``scale = 0``: one bucket, and at most ``K.bit_length()`` steps.
+    """
+
+    def __init__(self, table: np.ndarray):
+        finite = table[np.isfinite(table)].tolist() or [0.0]
+        lo, hi = finite[0], finite[-1]
+        # 0 for a span of 0 or inf, inf for a subnormal one
+        scale = 2 * len(table) / (hi - lo) if hi > lo else 0.0
+        if not 0.0 < scale < math.inf:
+            scale, hi = 0.0, lo
+        self.lo, self.hi, self.scale = lo, hi, scale
+        self.top = 2 * len(table) - 1 if scale else 0
+        counts = np.bincount(self._buckets(table), minlength=self.top + 1)
+        #: index of each bucket's first entry
+        self.first = _read_only(np.cumsum(counts) - counts)
+        width = int(counts.max())
+        self.steps = tuple(1 << b for b in reversed(range(width.bit_length())))
+        self.padded = _read_only(np.concatenate((table, np.full(width, math.inf))))
+
+    def _buckets(self, x: np.ndarray) -> np.ndarray:
+        b = ((x.clip(self.lo, self.hi) - self.lo) * self.scale).astype(np.intp)
+        return np.minimum(b, self.top)
+
+    def search(self, keys: np.ndarray, side: str) -> np.ndarray:
+        keys = np.asarray(keys, dtype=float)
+        pos = self.first[self._buckets(keys)]
+        for s in self.steps:
+            # entry pos + s - 1; past the key's bucket every entry is above the key
+            below = self.padded[s - 1 :][pos]
+            pos += s * (below < keys if side == "left" else below <= keys)
+        return pos
 
 
 class Distribution:
@@ -146,8 +200,12 @@ class Distribution:
         _check_price_bounds(p0, p1)
         if p0 == p1:  # also at p0 = p1 = inf, where the difference below is NaN
             return 0.0
-        lo, hi = self._integrate_cdf_to_many(np.array([p0, p1], dtype=float))
-        return float(hi - lo)
+        # looked up inside the support, so that no lane's distance to it
+        # overflows; above it the cdf is 1, and a Python float subtraction
+        # returns the part there without a warning
+        smin, smax = self.support_min, self.support_max
+        lo, hi = self._integrate_cdf_to_many(np.array([p0, p1], dtype=float).clip(smin, smax))
+        return float(hi - lo) + (max(p1, smax) - max(p0, smax))
 
     def mean(self) -> float:
         """Expected value, computed directly from atoms/knots."""
@@ -327,20 +385,21 @@ class DiscreteDistribution(Distribution):
             "atoms": [{"value": v, "prob": p} for v, p in zip(self.values, self.probs)],
         }
 
-    def _atom_indices(self, q: np.ndarray) -> np.ndarray:
-        """Index of the atom ``quantile`` returns at each ``q``."""
-        idx = self._cum_arr.searchsorted(q, side="left")
-        return np.minimum(idx, len(self.values) - 1)
-
     def quantile_many(self, q: np.ndarray) -> np.ndarray:
-        return self._values_arr[self._atom_indices(np.asarray(q, dtype=float))]
+        idx = self._cum_arr.searchsorted(_check_prob_many(q), side="left")
+        return self._values_arr[np.minimum(idx, len(self.values) - 1)]
+
+    @cached_property
+    def _cum_guide(self) -> _Guide:
+        return _Guide(self._cum_arr)
 
     def sample_indices_many(self, u: np.ndarray) -> np.ndarray:
         """Atom indices of the inverse-transform samples at ``u`` in [0, 1).
 
-        ``values[i]`` at these indices is ``sample_many(u)``.
+        ``values[i]`` at these indices is ``sample_many(u)``. As ``u < 1 =
+        cum[-1]``, the search needs no clamp to the last atom.
         """
-        return self._atom_indices(_check_unit_many(u))
+        return self._cum_guide.search(_check_unit_many(u), "left")
 
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
         p = _check_prices_many(p)
@@ -502,13 +561,24 @@ class PiecewiseLinearDistribution(Distribution):
     # the support is clipped into it before the segment's formula, which far
     # from the support would overflow, and its lane is then overwritten.
 
-    def quantile_many(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
+    def _segment_quantiles(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The quantile at each ``q`` below 1 in segment ``k``, the first inner knot above it."""
         qs, vals = self._qs_arr, self._vals_arr
         dq, dv, _ = self._steps
-        k = qs[1:-1].searchsorted(q, side="right")
-        out = vals[k] + (q - qs[k]) * dv[k] / dq[k]
-        return np.where(q >= qs[-1], vals[-1], out)
+        return vals[k] + (q - qs[k]) * dv[k] / dq[k]
+
+    def quantile_many(self, q: np.ndarray) -> np.ndarray:
+        q = _check_prob_many(q)
+        out = self._segment_quantiles(q, self._qs_arr[1:-1].searchsorted(q, side="right"))
+        return np.where(q >= self.qs[-1], self.vals[-1], out)
+
+    @cached_property
+    def _inner_guide(self) -> _Guide:
+        return _Guide(self._qs_arr[1:-1])
+
+    def sample_many(self, u: np.ndarray) -> np.ndarray:
+        u = _check_unit_many(u)
+        return self._segment_quantiles(u, self._inner_guide.search(u, "right"))
 
     def cdf_many(self, p: np.ndarray) -> np.ndarray:
         p = _check_prices_many(p)
@@ -604,6 +674,11 @@ class BuyerEnvelope:
         table = _read_only(np.array(list(zip(blank, *rows, blank))))
         price, trade = table[0 : 2 * slots : 2], table[1 : 2 * slots : 2]
         return _read_only(np.asarray(self.starts)), price, trade, *table[2 * slots :]
+
+    @cached_property
+    def _starts_guide(self) -> _Guide:
+        """Guide table over ``starts``: the entry on top at each of many values."""
+        return _Guide(self.columns[0])
 
 
 def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:

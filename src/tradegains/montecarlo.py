@@ -36,13 +36,20 @@ _CHUNK = 1 << 17
 
 def _uniforms(seed: int, start: int, count: int, draw: int) -> np.ndarray:
     """Uniform [0, 1) variates for trials ``start .. start+count-1`` at ``draw``."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    pos = idx * np.uint64(_DRAWS_PER_TRIAL) + np.uint64(draw)
-    z = np.uint64(seed & _MASK64) + pos * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    # seed + (trial * _DRAWS_PER_TRIAL + draw) * _GAMMA modulo 2**64, then
+    # splitmix64's finalizer, each step in place over one scratch array
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= np.uint64(_DRAWS_PER_TRIAL * _GAMMA & _MASK64)
+    z += np.uint64((seed + draw * _GAMMA) & _MASK64)
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(mix)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 @dataclass(frozen=True)

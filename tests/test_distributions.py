@@ -25,6 +25,8 @@ from tradegains import (
     validate,
 )
 
+from tradegains.distributions import _Guide
+
 from conftest import NON_NUMBER_SUGAR, random_discrete
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
@@ -125,6 +127,20 @@ def test_vectorized_prices_refuse_nan():
         assert d.survival_many(np.array([-math.inf, math.inf])).tolist() == [1.0, 0.0]
 
 
+def test_vectorized_quantile_refuses_q_outside_the_unit_interval():
+    # unchecked, the discrete prior read a NaN or a q above 1 as its top atom and
+    # one below 0 as its bottom atom, and the pwl prior extrapolated them
+    two = DiscreteDistribution.from_atoms([(0.1, 0.5), (0.6, 0.5)])
+    for d in (two, uniform(0, 1)):
+        for bad in (math.nan, 1.5, -0.2, math.inf):
+            with pytest.raises(DomainError):
+                d.quantile(bad)
+            with pytest.raises(DomainError):
+                d.quantile_many(np.array([0.3, bad]))
+        assert d.quantile_many(np.array([0.0, 1.0])).tolist() == [d.quantile(0.0), d.quantile(1.0)]
+        assert d.quantile_many(np.empty(0)).size == 0
+
+
 def test_sample_examples():
     assert point(1.0).sample(0.7) == 1.0
     assert uniform(0, 1).sample(0.42) == 0.42
@@ -204,6 +220,17 @@ def test_integrate_cdf_infinite_bounds():
         assert d.integrate_cdf(inf, inf) == 0.0
         assert d.integrate_cdf(0.5, inf) == inf
         assert d.integrate_cdf(-inf, inf) == inf
+
+
+def test_integrate_cdf_far_above_the_support_does_not_overflow():
+    # a bound's distance to the support overflowed in the lookup, which returned
+    # inf and, under the suite's filterwarnings = error, raised
+    high = PiecewiseLinearDistribution.from_knots([(0.0, -1e308), (1.0, -1e307)])
+    for d in (point(-1e308), high):
+        assert d.integrate_cdf(0.0, 1.7e308) == 1.7e308
+        assert d.integrate_cdf(-1.7e308, 1.7e308) == d.integrate_cdf(-1.7e308, 0.0) + 1.7e308
+    assert point(1e308).integrate_cdf(-1.7e308, 0.0) == 0.0
+    assert point(-1e308).integrate_cdf(-1.7e308, -1e308) == 0.0
 
 
 def reference_integrate_cdf(d, p0, p1):
@@ -540,6 +567,63 @@ def test_equispaced_sampling_frequencies(d, n):
     for v, p in zip(d.values, d.probs):
         freq = float(np.sum(samples == v)) / n
         assert abs(freq - p) <= 1.0 / n
+
+
+# --------------------------------------------------------------------------
+# guide tables
+
+
+def one_bucket_cum():
+    """Cumulative masses of 512 atoms, the first of mass 1 - 511e-300: every entry is 1.0."""
+    d = DiscreteDistribution.from_atoms([(float(i), 1e-300 if i else 1.0) for i in range(512)])
+    assert d._cum_arr.tolist() == [1.0] * 512
+    return d._cum_arr
+
+
+GUIDE_TABLES = {
+    "empty": np.empty(0),
+    "one entry": np.array([0.25]),
+    "leading -inf": np.array([-math.inf, -2.0, 0.0, 0.5, 0.5, 3.0]),
+    "repeated": np.array([0.1, 0.1, 0.1, 0.2, 0.7, 0.7, 1.0, 1.0]),
+    "512 atoms, one bucket": one_bucket_cum(),
+    "ulp steps": np.array([math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0]),
+    "subnormal span": np.array([0.0, 5e-324, 1e-323]),
+    "span overflows": np.array([-1.7e308, -1.0, 0.0, 1e-300, 1.0, 1.7e308]),
+    "spread": np.sort(np.random.default_rng(3).standard_cauchy(300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUIDE_TABLES))
+def test_guide_matches_searchsorted(name):
+    table = GUIDE_TABLES[name]
+    guide = _Guide(table)
+    assert len(guide.steps) <= len(table).bit_length()
+    finite = table[np.isfinite(table)]
+    keys = np.concatenate([
+        table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
+        [-math.inf, -1.7e308, -1.0, 0.0, -0.0, 1.0, 1.7e308],
+        finite.min(initial=0.0) - np.array([1.0, 1e300]), finite.max(initial=0.0) + np.array([1.0, 1e300]),
+    ])
+    keys = keys[keys < math.inf]
+    for side in ("left", "right"):
+        assert np.array_equal(guide.search(keys, side), table.searchsorted(keys, side)), side
+
+
+def test_guide_of_one_bucket_searches_in_log_steps():
+    guide = _Guide(one_bucket_cum())
+    assert (guide.top, len(guide.steps)) == (0, (512).bit_length())
+
+
+@given(dists)
+@settings(max_examples=100, deadline=None)
+def test_sampling_through_the_guide_matches_the_quantile_bit_for_bit(d):
+    table = d._cum_arr if d.kind == "discrete" else d._qs_arr
+    u = np.concatenate([np.linspace(0.0, 1.0, 97), table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert [x.hex() for x in d.sample_many(u).tolist()] == [x.hex() for x in d.quantile_many(u).tolist()]
+    if d.kind == "discrete":
+        want = np.minimum(d._cum_arr.searchsorted(u, "left"), len(d.values) - 1)
+        assert np.array_equal(d.sample_indices_many(u), want)
 
 
 # --------------------------------------------------------------------------

@@ -122,6 +122,20 @@ def test_both_best_response_branches_match_the_scan_bit_for_bit(seller, array_mi
             assert [tuple(map(float.hex, g)) for g in got] == want
 
 
+@pytest.mark.parametrize("seller", SELLERS)
+def test_the_guide_lookup_matches_the_scan_bit_for_bit(seller, monkeypatch):
+    # the array fold with the envelope's guide table at every size, on the
+    # probes in random order, as Monte Carlo samples come
+    monkeypatch.setattr(mechanism, "_ARRAY_MIN", 0)
+    monkeypatch.setattr(mechanism, "_GUIDE_MIN", 0)
+    for side in (seller, seller.negate()):
+        rng = np.random.default_rng(len(side.knot_values()))
+        vs = rng.permutation(probes(side, rng))
+        want = [tuple(map(float.hex, scan(v, side))) for v in vs.tolist()]
+        got = zip(*(a.tolist() for a in mechanism.buyer_best_response_many(vs, side)))
+        assert [tuple(map(float.hex, g)) for g in got] == want
+
+
 @pytest.mark.parametrize("k", (1, -1, 300, -300, 900, -900))
 def test_envelope_scales_by_powers_of_two(k):
     # scaling every value by 2**k is exact, so the breakpoints and every best

@@ -26,7 +26,7 @@ from tradegains import (
     uniform,
 )
 
-from conftest import random_discrete, random_discrete_instance, random_pwl
+from conftest import budget, random_discrete, random_discrete_instance, random_pwl
 
 UU = TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1))
 P1U = TradeInstance(buyer=point(1.0), seller=uniform(0, 1))
@@ -266,3 +266,69 @@ def test_simulate_scales_by_powers_of_two(k, tmp_path, capsys):
     unit, scaled = outputs
     assert len(unit) == 8 and all(x > 0.0 for x in unit)
     assert scaled == [math.ldexp(x, k) for x in unit]
+
+
+def _canonical(atoms=64):
+    d = DiscreteDistribution.from_atoms([((2 * i + 1) / (2 * atoms), 1.0 / atoms) for i in range(atoms)])
+    return TradeInstance(buyer=d, seller=d)
+
+
+def _pwl_against_discrete(seed=13):
+    rng = np.random.default_rng(seed)
+    buyer = random_pwl(rng, 32)
+    values = np.unique(rng.uniform(0.0, 1.0, 32))
+    seller = DiscreteDistribution.from_atoms(zip(values.tolist(), rng.dirichlet(np.ones(len(values))).tolist()))
+    return TradeInstance(buyer=buyer, seller=seller)
+
+
+PINNED_INSTANCES = {"c064": _canonical(), "uu": UU, "pd32": _pwl_against_discrete()}
+#: ``(mean, stderr[, trials])`` of each estimate at 2**17 + 5 trials and seed 41, by ``float.hex``,
+#: recorded when every draw and envelope lookup was numpy's binary search
+PINNED_SIMULATIONS = {
+    "c064": {
+        "gft": ("0x1.046784fd33870p-3", "0x1.5b4f9d6a243d6p-11"),
+        "u_buyer": ("0x1.5d8bcf524f264p-4", "0x1.42373183a2434p-11", 65464),
+        "u_seller": ("0x1.5f11a7b08fe4cp-4", "0x1.420584906c0bbp-11", 65613),
+        "fb": ("0x1.55928a11a6d3ep-3", "0x1.5588e845f4ecdp-11"),
+    },
+    "uu": {
+        "gft": ("0x1.00cac766dc3f4p-3", "0x1.5aff991f0ae85p-11"),
+        "u_buyer": ("0x1.5670e45cd654ep-4", "0x1.407e3de60df90p-11", 65464),
+        "u_seller": ("0x1.577360d53feeep-4", "0x1.4014b568683a6p-11", 65613),
+        "fb": ("0x1.55abbc246db2cp-3", "0x1.55932629fae50p-11"),
+    },
+    "pd32": {
+        "gft": ("0x1.00fe099dc2a5ep-3", "0x1.5be9d3c2b2541p-11"),
+        "u_buyer": ("0x1.5359679b21ae0p-4", "0x1.2c3b877f31b9bp-11", 65464),
+        "u_seller": ("0x1.899b9daa71121p-4", "0x1.85ace9d1b7f92p-11", 65613),
+        "fb": ("0x1.504fde867c7a0p-3", "0x1.597d8609612f9p-11"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_simulate_is_pinned_across_a_chunk_edge(name):
+    trials, seed = 2**17 + 5, 41
+    report = simulate_mechanism(PINNED_INSTANCES[name], trials, seed)
+    got = {"gft": report.gft, "u_buyer": report.u_buyer, "u_seller": report.u_seller, "fb": report.fb}
+    for field, pinned in PINNED_SIMULATIONS[name].items():
+        estimate = got[field]
+        assert (estimate.mean.hex(), estimate.stderr.hex()) == pinned[:2], field
+        assert estimate.trials == (pinned[2] if len(pinned) > 2 else trials)
+        assert estimate.seed == seed
+    assert report.to_json()["trials"] == trials
+
+
+def test_simulate_one_bucket_prior_in_budget():
+    # an atom of mass 1 - 511e-300 under 511 atoms of mass 1e-300: every
+    # cumulative mass is 1.0, so the guide has one bucket and every draw
+    # searches all 512 entries, in 10 steps
+    hostile = DiscreteDistribution.from_atoms([(0.5 + i / 1024, 1e-300 if i else 1.0) for i in range(512)])
+    assert hostile._cum_guide.top == 0
+    instance = TradeInstance(buyer=hostile, seller=uniform(0.0, 1.0))
+    trials, seed = 2**17 + 5, 5
+    with budget(10):
+        report = simulate_mechanism(instance, trials, seed)
+    reference = _reference_report(instance, trials, seed)
+    assert report.to_json() == reference["mechanism"]
+    assert report.fb.to_json() == reference["fb"]
