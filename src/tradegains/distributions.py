@@ -144,16 +144,21 @@ class Distribution:
     # -- scalar evaluation -------------------------------------------------
 
     def quantile(self, q: float) -> float:
-        """Left-continuous generalized inverse of the CDF at ``q`` in [0, 1]."""
-        raise NotImplementedError
+        """Left-continuous generalized inverse of the CDF at ``q`` in [0, 1]: ``quantile_many`` at one element."""
+        return float(self.quantile_many(np.array([_check_prob_arg(q)]))[0])
 
+    # Unlike ``quantile`` and ``cdf_left``, each prior keeps a bisect ``cdf``
+    # of its own: the value-by-value best response (``_best_response_at``)
+    # prices every stationary candidate with it. As ``cdf_many`` at one
+    # element, on a shared 2-CPU host, one best response against a 4-knot pwl
+    # prior took 29 us instead of 7, and one over 4 values 118 us instead of 33.
     def cdf(self, p: float) -> float:
         """Right-continuous ``Pr[X <= p]``."""
         raise NotImplementedError
 
     def cdf_left(self, p: float) -> float:
-        """Left limit ``Pr[X < p]``."""
-        raise NotImplementedError
+        """Left limit ``Pr[X < p]``: ``cdf_left_many`` at one element."""
+        return float(self.cdf_left_many(np.array([p], dtype=float))[0])
 
     def survival(self, p: float) -> float:
         """Left-continuous ``Pr[X >= p]``; an atom at ``p`` counts."""
@@ -242,7 +247,7 @@ class Distribution:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    # -- vectorized evaluation (mirrors the scalar arithmetic exactly) -----
+    # -- vectorized evaluation (``cdf_many`` mirrors the scalar ``cdf`` exactly) --
 
     def quantile_many(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -316,23 +321,10 @@ class DiscreteDistribution(Distribution):
     def knot_values(self) -> tuple[float, ...]:
         return self.values
 
-    def quantile(self, q: float) -> float:
-        q = _check_prob_arg(q)
-        i = bisect.bisect_left(self.cum, q)
-        if i >= len(self.values):
-            i = len(self.values) - 1
-        return self.values[i]
-
     def cdf(self, p: float) -> float:
         if p != p:
             raise DomainError("price p must not be NaN")
         i = bisect.bisect_right(self.values, p)
-        return self.cum[i - 1] if i > 0 else 0.0
-
-    def cdf_left(self, p: float) -> float:
-        if p != p:
-            raise DomainError("price p must not be NaN")
-        i = bisect.bisect_left(self.values, p)
         return self.cum[i - 1] if i > 0 else 0.0
 
     @cached_property
@@ -468,16 +460,6 @@ class PiecewiseLinearDistribution(Distribution):
             out.append((2.0 * ya + r, 2.0 * yb + r, slope, r))
         return tuple(out)
 
-    def quantile(self, q: float) -> float:
-        q = _check_prob_arg(q)
-        qs, vals = self.qs, self.vals
-        i = bisect.bisect_right(qs, q)
-        if i >= len(qs):
-            return vals[-1]
-        q0, q1 = qs[i - 1], qs[i]
-        y0, y1 = vals[i - 1], vals[i]
-        return y0 + (q - q0) * (y1 - y0) / (q1 - q0)
-
     def cdf(self, p: float) -> float:
         if p != p:
             raise DomainError("price p must not be NaN")
@@ -489,21 +471,6 @@ class PiecewiseLinearDistribution(Distribution):
         j = bisect.bisect_right(vals, p)
         # vals[j-1] <= p < vals[j], and the two differ, so the segment is
         # strictly increasing there
-        y0, y1 = vals[j - 1], vals[j]
-        return qs[j - 1] + (p - y0) * (qs[j] - qs[j - 1]) / (y1 - y0)
-
-    def cdf_left(self, p: float) -> float:
-        if p != p:
-            raise DomainError("price p must not be NaN")
-        vals, qs = self.vals, self.qs
-        if p <= vals[0]:
-            return 0.0
-        if p > vals[-1]:
-            return 1.0
-        j = bisect.bisect_left(vals, p)
-        if vals[j] == p:
-            # first knot at p: everything strictly below q=qs[j] is < p
-            return qs[j]
         y0, y1 = vals[j - 1], vals[j]
         return qs[j - 1] + (p - y0) * (qs[j] - qs[j - 1]) / (y1 - y0)
 
@@ -557,9 +524,10 @@ class PiecewiseLinearDistribution(Distribution):
         return _read_only(dq), _read_only(dv), _read_only(np.where(dv > 0, dv, 1.0))
 
     # In the vectorized methods below, a search among the inner knots gives
-    # the scalar's segment, clipped to the first and last. A price outside
-    # the support is clipped into it before the segment's formula, which far
-    # from the support would overflow, and its lane is then overwritten.
+    # the segment that holds each argument, clipped to the first and last. A
+    # price outside the support is clipped into it before the segment's
+    # formula, which far from the support would overflow, and its lane is
+    # then overwritten.
 
     def _segment_quantiles(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
         """The quantile at each ``q`` below 1 in segment ``k``, the first inner knot above it."""
@@ -691,11 +659,12 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
     inf = math.inf
     knots = dist.knot_values()
     segments = dist.stationary_segments  # one between each two knots of a pwl prior
-    xs = [dist.cdf(p) for p in knots]
+    xs = dist.cdf_many(np.asarray(knots)).tolist()
     # curve of each candidate as a function of v: the line (v - pa) * xa below
     # lo, the parabola 0.25 * slope * (v + r)**2 on [lo, hi] and the line
     # (v - pb) * xb above hi; a segment's tails are its end prices at the
     # segment's own limits cdf(ya) and cdf_left(yb)
+    lefts = dist.cdf_left_many(np.asarray(knots[1 : len(segments) + 1])).tolist() if segments else []
     curves = []
     entries = []
     for j, (p, x) in enumerate(zip(knots, xs)):
@@ -704,7 +673,7 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
         if j < len(segments):
             lo, hi, slope, r = segments[j]
             yb = knots[j + 1]
-            curves.append((p, x, yb, dist.cdf_left(yb), lo, hi, r, slope))
+            curves.append((p, x, yb, lefts[j], lo, hi, r, slope))
             entries.append((((p, x), (yb, xs[j + 1])), lo, hi, r))
     stack: list[int] = []
     starts: list[float] = []
@@ -922,16 +891,8 @@ def validate(data) -> ValidationReport:
     Accepts a JSON-style mapping (see :func:`distribution_from_json`) or an
     existing :class:`Distribution`, and reports every violated invariant.
     """
-    if isinstance(data, DiscreteDistribution):
-        problems, normalized = _normalize_atoms(zip(data.values, data.probs))
-        if problems:
-            return ValidationReport(tuple(problems), None)
-        return ValidationReport((), DiscreteDistribution(*normalized))
-    if isinstance(data, PiecewiseLinearDistribution):
-        problems, normalized = _normalize_knots(zip(data.qs, data.vals))
-        if problems:
-            return ValidationReport(tuple(problems), None)
-        return ValidationReport((), PiecewiseLinearDistribution(*normalized))
+    if isinstance(data, Distribution):
+        data = data.to_json()
     try:
         dist = distribution_from_json(data)
     except ValidationError as err:

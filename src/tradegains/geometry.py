@@ -132,13 +132,8 @@ def buyer_deviation_bound(v: float, seller: Distribution, lam: float) -> tuple[f
     Because ``x(b) >= lambda * x(v)`` under the left-continuous quantile
     convention, the utility is at least ``lambda * x(v) * (v - b)``.
     """
-    lam = _check_lambda(lam)
-    v = _check_value(v)
-    x_v = seller.cdf(v)
-    b = seller.quantile(lam * x_v)
-    if x_v <= 0.0:
-        return b, 0.0
-    return b, (v - b) * seller.cdf(b)
+    d = decompose_fixed_v(v, seller, lam)
+    return d.b_lambda, d.u_B_dev
 
 
 def seller_scaling_utility(v: float, seller: Distribution, lam: float) -> float:
@@ -245,9 +240,9 @@ def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDec
         _, _, *fields = _decompose(vs, seller, lam)
         return (*fields, buyer_best_response_many(vs, seller)[1])
 
-    breaks = _decomposition_breakpoints(seller, lam)
+    breaks: list[float] = []
     if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
-        breaks += buyer_response_breakpoints(seller)
+        breaks = _decomposition_breakpoints(seller, lam) + buyer_response_breakpoints(seller)
     # the record's fields follow AggregateDecomposition's after lam
     return AggregateDecomposition(lam, *expect(buyer, record, breaks))
 
@@ -333,10 +328,9 @@ def _probe_terms(probes: np.ndarray, seller: Distribution, lams: list[float]) ->
     return area_a, u_s_geom, u_b_dev - lam_row * area_b, u_s_geom - (1.0 - lam_row) * area_s
 
 
-def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams) -> list[BoundReport]:
-    """One :class:`BoundReport` per lambda of ``lams`` (a float counts as one)."""
+def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams: list[float]) -> list[BoundReport]:
+    """One :class:`BoundReport` per lambda of the checked list ``lams``."""
     buyer, seller = instance.buyer, instance.seller
-    lams = np.atleast_1d(np.asarray(lams, dtype=float)).tolist()
     # the probe values include every atom of a discrete buyer
     probes = _probe_values(buyer)
     block = max(1, _BLOCK_PAIRS // probes.size)

@@ -630,15 +630,97 @@ def test_sampling_through_the_guide_matches_the_quantile_bit_for_bit(d):
 # vectorized paths agree with the scalar ones bitwise
 
 
+def scalar_quantile(d, q):
+    """``quantile(q)`` by a bisect over the prior's own tuples, the reference."""
+    if d.kind == "pwl":
+        qs, vals = d.qs, d.vals
+        i = bisect.bisect_right(qs, q)
+        if i >= len(qs):
+            return vals[-1]
+        q0, q1 = qs[i - 1], qs[i]
+        y0, y1 = vals[i - 1], vals[i]
+        return y0 + (q - q0) * (y1 - y0) / (q1 - q0)
+    i = bisect.bisect_left(d.cum, q)
+    return d.values[min(i, len(d.values) - 1)]
+
+
+def scalar_cdf_left(d, p):
+    """``cdf_left(p)`` by a bisect over the prior's own tuples, the reference."""
+    if d.kind == "pwl":
+        vals, qs = d.vals, d.qs
+        if p <= vals[0]:
+            return 0.0
+        if p > vals[-1]:
+            return 1.0
+        j = bisect.bisect_left(vals, p)
+        if vals[j] == p:
+            # first knot at p: everything strictly below q = qs[j] is < p
+            return qs[j]
+        y0, y1 = vals[j - 1], vals[j]
+        return qs[j - 1] + (p - y0) * (qs[j] - qs[j - 1]) / (y1 - y0)
+    i = bisect.bisect_left(d.values, p)
+    return d.cum[i - 1] if i > 0 else 0.0
+
+
+#: Priors with flat runs, 1-ulp steps, masses lost to rounding and one atom,
+#: on top of the hypothesis ones.
+POINT_LOOKUP_PRIORS = {
+    # the flat run's left limit is its first knot's q, which the interpolation
+    # from the segment below misses by rounding
+    "flat run": PiecewiseLinearDistribution.from_knots(zip([0.0, 0.2, 0.45, 0.7, 1.0], [0.0, 0.1, 0.1, 0.1, 1.0])),
+    "flat ends": PiecewiseLinearDistribution.from_knots(zip([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, 0.5, 0.75, 1.0, 1.0])),
+    "all flat": PiecewiseLinearDistribution.from_knots([(0.0, 0.3), (0.4, 0.3), (1.0, 0.3)]),
+    "seeded pwl": seeded_pwl(64),
+    "seeded pwl, offset": seeded_pwl(33, offset=1e6),
+    "seeded discrete": seeded_discrete(64),
+    "one atom": point(-2.5),
+    # cum reaches 1.0 at the second atom, so the third has no mass in the cdf
+    "mass lost to rounding": DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-13)]),
+    "tiny masses": DiscreteDistribution.from_atoms([(float(i), 1e-300 if i else 1.0) for i in range(8)]),
+}
+
+
+def check_point_lookups(d):
+    """The scalar method and the ``_many`` method of each point lookup against its reference, bit for bit.
+
+    The references are ``scalar_quantile``, ``scalar_cdf_left`` and the
+    scalar ``cdf``, which keeps a bisect of its own; ``survival`` is one
+    minus the left limit. The probes are a spread, every ``cum`` / ``qs``
+    entry and knot value with both its neighbouring floats, and +-inf.
+    """
+    table = d._cum_arr if d.kind == "discrete" else d._qs_arr
+    qs = np.concatenate([np.linspace(0.0, 1.0, 41), table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf)])
+    qs = qs[(qs >= 0.0) & (qs <= 1.0)]
+    knots = np.asarray(d.knot_values())
+    ps = np.concatenate([
+        np.linspace(d.support_min - 0.5, d.support_max + 0.5, 41),
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), [-math.inf, math.inf],
+    ])
+
+    def hexes(xs):
+        return [float(x).hex() for x in xs]
+
+    lookups = (
+        ("quantile", qs, lambda q: scalar_quantile(d, q)),
+        ("cdf", ps, d.cdf),
+        ("cdf_left", ps, lambda p: scalar_cdf_left(d, p)),
+        ("survival", ps, lambda p: 1.0 - scalar_cdf_left(d, p)),
+    )
+    for name, xs, reference in lookups:
+        want = hexes(reference(x) for x in xs.tolist())
+        assert hexes(getattr(d, name)(x) for x in xs.tolist()) == want, name
+        assert hexes(getattr(d, f"{name}_many")(xs).tolist()) == want, f"{name}_many"
+
+
 @given(dists)
 @settings(max_examples=100, deadline=None)
 def test_vectorized_matches_scalar(d):
-    qs = np.linspace(0.0, 1.0, 41)
-    assert all(d.quantile_many(qs)[i] == d.quantile(q) for i, q in enumerate(qs))
-    ps = np.linspace(d.support_min - 0.5, d.support_max + 0.5, 41)
-    assert all(d.cdf_many(ps)[i] == d.cdf(p) for i, p in enumerate(ps))
-    assert all(d.survival_many(ps)[i] == d.survival(p) for i, p in enumerate(ps))
-    assert all(d.cdf_left_many(ps)[i] == d.cdf_left(p) for i, p in enumerate(ps))
+    check_point_lookups(d)
+
+
+@pytest.mark.parametrize("d", POINT_LOOKUP_PRIORS.values(), ids=POINT_LOOKUP_PRIORS.keys())
+def test_point_lookups_match_the_references_on_edge_priors(d):
+    check_point_lookups(d)
 
 
 def scalar_integrate_quantile_to(d, q):
@@ -719,6 +801,23 @@ def test_validate_rejects_non_monotone_pwl():
     report = validate({"kind": "pwl", "knots": [{"q": 0, "value": 1}, {"q": 1, "value": 0}]})
     assert not report.ok
     assert any("not monotone" in msg for msg in report.problems)
+
+
+def test_validate_normalizes_a_hand_built_discrete_prior():
+    # built without from_atoms: unsorted, with the value 1.0 twice
+    report = validate(DiscreteDistribution(values=(1.0, 0.0, 1.0, 2.0), probs=(0.25, 0.5, 0.125, 0.125)))
+    assert report.problems == ()
+    assert report.distribution == DiscreteDistribution(values=(0.0, 1.0, 2.0), probs=(0.5, 0.375, 0.125))
+
+
+def test_validate_reports_every_problem_of_a_hand_built_pwl_prior():
+    report = validate(PiecewiseLinearDistribution(qs=(0.0, 0.5, 0.5, 0.9), vals=(1.0, 0.0, 2.0, 3.0)))
+    assert report.distribution is None
+    assert report.problems == (
+        "knot grid must run from 0 to 1, got [0.0, 0.9]",
+        "knot 1: quantile not monotone (0.0 < 1.0)",
+        "knot 2: q=0.5 not strictly above q=0.5",
+    )
 
 
 def test_validate_rejects_bad_knot_grid():

@@ -125,6 +125,15 @@ def test_seller_scaling_examples():
     assert seller_scaling_utility(0.2, point(0.5), 0.5) == 0.0
 
 
+def test_seller_scaling_tops_out_at_the_quantile_of_one():
+    # the cdf reaches 1 at the atom 1.0, so the top quote c(1) is 1.0, which
+    # the value 1.0 accepts; the atom at 2.0, support_max, is never quoted
+    seller = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-13)])
+    assert (seller.quantile(1.0), seller.support_max) == (1.0, 2.0)
+    # 0.5 * mean + 0.5 * c(1) - mean
+    assert seller_scaling_utility(1.0, seller, 0.5) == 0.25
+
+
 def test_seller_scaling_dominates_geometric_bound(corpus_small):
     for instance in corpus_small[:30]:
         seller = instance.seller
@@ -258,6 +267,19 @@ def test_aggregate_decomposition_identity():
             assert agg.fb == pytest.approx(equilibrium(instance).fb, abs=1e-12)
 
 
+def test_aggregate_decomposition_declares_no_breakpoints_for_a_discrete_buyer(monkeypatch):
+    # expect sums a discrete buyer's atoms and ignores breakpoints, so none are built
+    instance = random_discrete_instance(7)
+    want = aggregate_decomposition(instance, 0.31784)
+
+    def refuse(*args):
+        raise AssertionError("breakpoints built for a discrete buyer")
+
+    monkeypatch.setattr(geometry, "_decomposition_breakpoints", refuse)
+    monkeypatch.setattr(geometry, "buyer_response_breakpoints", refuse)
+    assert aggregate_decomposition(instance, 0.31784) == want
+
+
 def test_verify_bounds_uniform_uniform_optimal_lambda():
     lam = 0.31784
     report = verify_bounds(UU, lam)
@@ -312,7 +334,7 @@ def test_bound_report_refuses_a_nan_slack(field):
     instance = random_discrete_instance(3)
     eq = dataclasses.replace(equilibrium(instance), **{field: math.nan})
     with pytest.raises(InvariantViolation):
-        geometry._bound_report(instance, eq, 0.31784)
+        geometry._bound_report(instance, eq, [0.31784])
 
 
 def test_verify_bounds_lambda_domain():
