@@ -654,33 +654,51 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
 
     Their trade probabilities do not decrease along that order, so each
     candidate overtakes an earlier one at most once, and every candidate is
-    pushed and popped at most once.
+    pushed and popped at most once: the upper envelope of lines taken in
+    slope order (Andrew 1979), with a segment's parabola between its end
+    knots' lines.
     """
     inf = math.inf
     knots = dist.knot_values()
     segments = dist.stationary_segments  # one between each two knots of a pwl prior
-    xs = dist.cdf_many(np.asarray(knots)).tolist()
+    # each knot's cdf and each segment's top left limit, read off the prior's
+    # tables as the floats cdf_many and cdf_left_many return: a discrete
+    # prior's cum, a pwl prior's q at the last and first knot of each value
+    if isinstance(dist, DiscreteDistribution):
+        xs, lefts = dist.cum, ()
+    else:
+        qs, vals = dist.qs, dist.vals
+        xs = [q for q, v, w in zip(qs, vals, vals[1:]) if v != w] + [qs[-1]]
+        lefts = [q for q, u, v in zip(qs[1:], vals, vals[1:]) if u != v]
     # curve of each candidate as a function of v: the line (v - pa) * xa below
     # lo, the parabola 0.25 * slope * (v + r)**2 on [lo, hi] and the line
     # (v - pb) * xb above hi; a segment's tails are its end prices at the
     # segment's own limits cdf(ya) and cdf_left(yb)
-    lefts = dist.cdf_left_many(np.asarray(knots[1 : len(segments) + 1])).tolist() if segments else []
-    curves = []
-    entries = []
-    for j, (p, x) in enumerate(zip(knots, xs)):
-        curves.append((p, x, p, x, inf, inf, 0.0, 0.0))
-        entries.append((((p, x),), inf, inf, 0.0))
-        if j < len(segments):
-            lo, hi, slope, r = segments[j]
-            yb = knots[j + 1]
-            curves.append((p, x, yb, lefts[j], lo, hi, r, slope))
-            entries.append((((p, x), (yb, xs[j + 1])), lo, hi, r))
+    step = 2 if segments else 1  # candidates per knot: the knot, then the segment above it
+    curves: list = [None] * (len(knots) + len(segments))
+    curves[::step] = [(p, x, p, x, inf, inf, 0.0, 0.0) for p, x in zip(knots, xs)]
+    if segments:
+        curves[1::2] = [
+            (pa, xa, pb, xb, lo, hi, r, slope)
+            for pa, xa, pb, xb, (lo, hi, slope, r) in zip(knots, xs, knots[1:], lefts, segments)
+        ]
     stack: list[int] = []
     starts: list[float] = []
-    for i in range(len(curves)):
+    for i, c in enumerate(curves):
+        pc, xc, knot = c[0], c[1], c[4] == inf
         w = -inf
         while stack:
-            w = _overtakes(curves, i, stack[-1])
+            j = stack[-1]
+            t = curves[j]
+            if knot and t[4] == inf:
+                # two knots, lines throughout: _line_overtakes on (-inf, inf)
+                xt = t[1]
+                if xc > xt:
+                    w = pc + xt * (pc - t[0]) / (xc - xt)
+                else:
+                    w = -inf if xt * (t[0] - pc) >= 0.0 else inf
+            else:
+                w = _overtakes(c, t, j == i - 1)
             if w > starts[-1]:
                 break
             stack.pop()
@@ -689,7 +707,15 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
         if w < inf:
             stack.append(i)
             starts.append(w)
-    return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries[i] for i in stack))
+    entries = []
+    for i in stack:
+        j, segment = divmod(i, step)
+        if segment:
+            lo, hi, _, r = segments[j]
+            entries.append((((knots[j], xs[j]), (knots[j + 1], xs[j + 1])), lo, hi, r))
+        else:
+            entries.append((((knots[j], xs[j]),), inf, inf, 0.0))
+    return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries))
 
 
 def _curve_at(c: tuple, v: float) -> float:
@@ -702,17 +728,15 @@ def _curve_at(c: tuple, v: float) -> float:
     return 0.25 * slope * z * z
 
 
-def _overtakes(curves: list[tuple], i: int, j: int) -> float:
-    """Least ``v`` from which curve ``i`` is at least the earlier curve ``j``.
+def _overtakes(c: tuple, t: tuple, adjacent: bool) -> float:
+    """Least ``v`` from which curve ``c`` is at least the earlier curve ``t``, a segment among them.
 
     ``inf`` when it never is. The difference of the two curves does not
     decrease in ``v``, so it is located between the curves' own piece ends
-    and solved in closed form on that piece.
+    and solved in closed form on that piece. ``adjacent`` when ``t`` is the
+    candidate just before ``c``.
     """
-    c, t = curves[i], curves[j]
-    if c[4] == t[4] == math.inf:  # two knots: lines throughout
-        return _line_overtakes(c[0], c[1], t[0], t[1], -math.inf, math.inf)
-    if j == i - 1:
+    if adjacent:
         # a segment touches its end knots' lines: take the tangency from
         # the segment instead of solving for a double root
         if t[4] == math.inf and c[4] < math.inf:
@@ -842,6 +866,15 @@ def _normalize_atoms(atoms) -> tuple[list[str], tuple | None]:
     total = math.fsum(p for _, p in merged)
     if abs(total - 1.0) > PROB_TOL:
         return [f"probabilities sum != 1 (got {total!r})"], None
+    # cum sums the masses left to right and gives the atoms after the one
+    # where that sum first reaches 1 no mass: drop them too, so that probs
+    # and cum describe one prior
+    acc = 0.0
+    for k, (_, p) in enumerate(merged):
+        acc += p
+        if acc >= 1.0:
+            del merged[k + 1 :]
+            break
     # keep the given masses (rescaling would break round-trip idempotence);
     # the cumulative top is pinned to exactly 1 when cum is built
     values = tuple(v for v, _ in merged)

@@ -17,8 +17,10 @@ from tradegains import (
     DiscreteDistribution,
     DomainError,
     PiecewiseLinearDistribution,
+    TradeInstance,
     ValidationError,
     distribution_from_json,
+    equilibrium,
     expect,
     point,
     uniform,
@@ -574,8 +576,11 @@ def test_equispaced_sampling_frequencies(d, n):
 
 
 def one_bucket_cum():
-    """Cumulative masses of 512 atoms, the first of mass 1 - 511e-300: every entry is 1.0."""
-    d = DiscreteDistribution.from_atoms([(float(i), 1e-300 if i else 1.0) for i in range(512)])
+    """Cumulative masses of 512 atoms, the first of mass 1 - 511e-300: every entry is 1.0.
+
+    Built without ``from_atoms``, which drops the atoms after the first.
+    """
+    d = DiscreteDistribution(values=tuple(map(float, range(512))), probs=(1.0,) + (1e-300,) * 511)
     assert d._cum_arr.tolist() == [1.0] * 512
     return d._cum_arr
 
@@ -674,9 +679,10 @@ POINT_LOOKUP_PRIORS = {
     "seeded pwl, offset": seeded_pwl(33, offset=1e6),
     "seeded discrete": seeded_discrete(64),
     "one atom": point(-2.5),
-    # cum reaches 1.0 at the second atom, so the third has no mass in the cdf
-    "mass lost to rounding": DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-13)]),
-    "tiny masses": DiscreteDistribution.from_atoms([(float(i), 1e-300 if i else 1.0) for i in range(8)]),
+    # cum reaches 1.0 at the second atom, so the third has no mass in the cdf;
+    # built without from_atoms, which drops such atoms
+    "mass lost to rounding": DiscreteDistribution(values=(0.0, 1.0, 2.0), probs=(0.5, 0.5, 1e-13)),
+    "tiny masses": DiscreteDistribution(values=tuple(map(float, range(8))), probs=(1.0,) + (1e-300,) * 7),
 }
 
 
@@ -789,6 +795,15 @@ def test_validate_merges_duplicates_and_drops_zero_mass():
     d = DiscreteDistribution.from_atoms([(1.0, 0.25), (1.0, 0.75), (2.0, 0.0)])
     assert d.values == (1.0,)
     assert d.probs == (1.0,)
+
+
+def test_validate_drops_atoms_past_a_cumulative_mass_of_one():
+    # the running sum reaches 1 at the atom 1, and cum gives the atom 2 no
+    # mass; probs and expect must not give it any either
+    d = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-13)])
+    assert (d.values, d.probs, d.support_max, d.mean()) == ((0.0, 1.0), (0.5, 0.5), 1.0, 0.5)
+    eq = equilibrium(TradeInstance(buyer=d, seller=point(0.0)))
+    assert (eq.u_buyer, eq.u_seller, eq.fb) == (0.5, 0.5, 0.5)
 
 
 def test_validate_rejects_bad_probability_sum():

@@ -17,7 +17,10 @@ from tradegains import (
     DiscreteDistribution,
     PiecewiseLinearDistribution,
     TradeInstance,
+    ValidationError,
     buyer_best_response,
+    distribution_from_json,
+    distributions,
     equilibrium,
     expect,
     geometry,
@@ -25,8 +28,10 @@ from tradegains import (
     seller_best_response,
     sweep_bounds,
 )
+from tradegains.distributions import BuyerEnvelope
 
 from conftest import LAMBDA_GRID, budget, random_pwl
+from test_hostile import CORPUS
 
 
 def scan(v, seller):
@@ -321,3 +326,170 @@ def test_equal_revenue_pair_at_200_steps_finishes():
     with budget(5):
         eq = equilibrium(equal_revenue_pair(200, 100.0))
     assert 1.90 <= eq.fb / eq.gft <= 1.91
+
+
+# --------------------------------------------------------------------------
+# the envelope sweep against the reference sweep
+
+
+def reference_envelope(dist):
+    """The envelope sweep in its plainest form, the reference.
+
+    It calls ``_reference_overtakes`` at every stack step, knot against
+    knot included, and reads every knot's trade probability with
+    ``cdf_many`` and each segment's top left limit with ``cdf_left_many``.
+    """
+    inf = math.inf
+    knots = dist.knot_values()
+    segments = dist.stationary_segments
+    xs = dist.cdf_many(np.asarray(knots)).tolist()
+    lefts = dist.cdf_left_many(np.asarray(knots[1 : len(segments) + 1])).tolist() if segments else []
+    curves = []
+    entries = []
+    for j, (p, x) in enumerate(zip(knots, xs)):
+        curves.append((p, x, p, x, inf, inf, 0.0, 0.0))
+        entries.append((((p, x),), inf, inf, 0.0))
+        if j < len(segments):
+            lo, hi, slope, r = segments[j]
+            yb = knots[j + 1]
+            curves.append((p, x, yb, lefts[j], lo, hi, r, slope))
+            entries.append((((p, x), (yb, xs[j + 1])), lo, hi, r))
+    stack = []
+    starts = []
+    for i in range(len(curves)):
+        w = -inf
+        while stack:
+            w = _reference_overtakes(curves, i, stack[-1])
+            if w > starts[-1]:
+                break
+            stack.pop()
+            starts.pop()
+            w = -inf
+        if w < inf:
+            stack.append(i)
+            starts.append(w)
+    return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries[i] for i in stack))
+
+
+def _reference_curve_at(c, v):
+    pa, xa, pb, xb, lo, hi, r, slope = c
+    if v < lo:
+        return (v - pa) * xa
+    if v > hi:
+        return (v - pb) * xb
+    z = v + r
+    return 0.25 * slope * z * z
+
+
+def _reference_overtakes(curves, i, j):
+    c, t = curves[i], curves[j]
+    if c[4] == t[4] == math.inf:
+        return _reference_line_overtakes(c[0], c[1], t[0], t[1], -math.inf, math.inf)
+    if j == i - 1:
+        if t[4] == math.inf and c[4] < math.inf:
+            return c[4]
+        if c[4] == math.inf and t[4] < math.inf and c[1] == t[3]:
+            return t[5]
+    ends = sorted({c[4], c[5], t[4], t[5]} - {math.inf})
+    m = 0
+    while m < len(ends) and _reference_curve_at(c, ends[m]) < _reference_curve_at(t, ends[m]):
+        m += 1
+    a = ends[m - 1] if m > 0 else -math.inf
+    b = ends[m] if m < len(ends) else math.inf
+    c_line, c1, c2 = _reference_piece(c, a, b)
+    t_line, t1, t2 = _reference_piece(t, a, b)
+    if c_line and t_line:
+        return _reference_line_overtakes(c1, c2, t1, t2, a, b)
+    if c_line:
+        (p, x), (slope, r) = (c1, c2), (t1, t2)
+        root = x + math.sqrt(max(x * (x - slope * (p + r)), 0.0))
+        w = 2.0 * x * (p + r) / root - r if root > 0.0 else b
+    elif t_line:
+        (slope, r), (p, x) = (c1, c2), (t1, t2)
+        w = 2.0 * (x + math.sqrt(max(x * (x - slope * (p + r)), 0.0))) / slope - r
+    else:
+        (sc, rc), (st, rt) = (c1, c2), (t1, t2)
+        rho = math.sqrt(st / sc)
+        w = (rho * rt - rc) / (1.0 - rho) if rho != 1.0 else -0.5 * (rc + rt)
+    if w != w:
+        return b
+    return min(max(w, a), b)
+
+
+def _reference_line_overtakes(pc, xc, pt, xt, a, b):
+    if xc > xt:
+        return min(max(pc + xt * (pc - pt) / (xc - xt), a), b)
+    return a if xt * (pt - pc) >= 0.0 else b
+
+
+def _reference_piece(c, a, b):
+    pa, xa, pb, xb, lo, hi, r, slope = c
+    if b <= lo:
+        return True, pa, xa
+    if a >= hi:
+        return True, pb, xb
+    return False, slope, r
+
+
+def hexed(envelope):
+    """``starts`` and every entry field of an envelope, as ``float.hex``."""
+    return (
+        [s.hex() for s in envelope.starts],
+        [
+            ([(p.hex(), x.hex()) for p, x in fixed], lo.hex(), hi.hex(), r.hex())
+            for fixed, lo, hi, r in envelope.entries
+        ],
+    )
+
+
+def hostile_priors():
+    """Every prior of the hostile corpus that is valid on its own."""
+    out = []
+    for name, (data, _) in sorted(CORPUS.items()):
+        for side in ("buyer", "seller"):
+            try:
+                out.append(pytest.param(distribution_from_json(data[side]), id=f"{name}-{side}"))
+            except ValidationError:
+                pass
+    return out
+
+
+ATOM_COUNTS = (*range(1, 17), 24, 32, 48, 64, 96, 128, 255, 256, 257, 384, 512, 768, 1024, 1536, 2047, 2048)
+
+#: Two knots of one trade probability 1e-300, 1e-30 apart: the gap between
+#: their parallel lines underflows to -0.0, which counts as the same line.
+PARALLEL_UNDERFLOW = DiscreteDistribution.from_atoms([(0.0, 1e-300), (1e-30, 1e-320), (1.0, 1.0)])
+
+
+@pytest.mark.parametrize("negate", (False, True), ids=("as-is", "negated"))
+@pytest.mark.parametrize(
+    "prior",
+    SELLERS
+    + hostile_priors()
+    + [pytest.param(canonical(atoms), id=f"canonical-{atoms}") for atoms in ATOM_COUNTS]
+    + [pytest.param(getattr(equal_revenue_pair(200, 100.0), side), id=f"equal-revenue-200-{side}") for side in ("buyer", "seller")]
+    + [pytest.param(PARALLEL_UNDERFLOW, id="parallel-underflow")],
+)
+def test_envelope_matches_the_reference_sweep_bit_for_bit(prior, negate):
+    if negate:
+        prior = prior.negate()
+    assert hexed(distributions._buyer_envelope(prior)) == hexed(reference_envelope(prior))
+
+
+def test_envelope_reads_trade_probabilities_off_the_prior(monkeypatch):
+    # knot against knot is stepped inline and every trade probability is read
+    # off the prior's tables: a discrete envelope calls none of these, and a
+    # pwl envelope no array lookup
+    def refuse(*args):
+        raise AssertionError("called")
+
+    discrete, pwl = discrete_seller(3), pwl_seller(3, False)
+    want = [hexed(reference_envelope(d)) for d in (discrete, pwl)]
+    monkeypatch.setattr(DiscreteDistribution, "cdf_many", refuse)
+    monkeypatch.setattr(DiscreteDistribution, "cdf_left_many", refuse)
+    monkeypatch.setattr(distributions, "_overtakes", refuse)
+    assert hexed(distributions._buyer_envelope(discrete)) == want[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(PiecewiseLinearDistribution, "cdf_many", refuse)
+    monkeypatch.setattr(PiecewiseLinearDistribution, "cdf_left_many", refuse)
+    assert hexed(distributions._buyer_envelope(pwl)) == want[1]

@@ -127,9 +127,10 @@ def test_seller_scaling_examples():
 
 def test_seller_scaling_tops_out_at_the_quantile_of_one():
     # the cdf reaches 1 at the atom 1.0, so the top quote c(1) is 1.0, which
-    # the value 1.0 accepts; the atom at 2.0, support_max, is never quoted
+    # the value 1.0 accepts; the atom at 2.0, which the cdf gives no mass, is
+    # dropped, so support_max is 1.0 too
     seller = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-13)])
-    assert (seller.quantile(1.0), seller.support_max) == (1.0, 2.0)
+    assert (seller.quantile(1.0), seller.support_max) == (1.0, 1.0)
     # 0.5 * mean + 0.5 * c(1) - mean
     assert seller_scaling_utility(1.0, seller, 0.5) == 0.25
 
