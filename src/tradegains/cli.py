@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import DomainError, InvariantViolation, ValidationError
@@ -216,7 +217,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (``tradegains ... | head``): send what is left
+        # in the buffer to devnull and exit 1 without a traceback, as the
+        # SIGPIPE note in Python's ``signal`` docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -123,13 +123,15 @@ def _check_value(v: float) -> float:
 _ARRAY_MIN = 24
 
 #: From this many values the array fold finds each value's envelope entry
-#: through the envelope's guide table, not numpy's binary search. On a 2-CPU
-#: host against 64 entries, the binary search is faster at every size on
-#: sorted values, such as the exact path's atoms and nodes (2-4 calls of
-#: 49-256 values per ``eq`` plus ``verify``): 3 against 23 us at 256 values.
-#: On unsorted ones, such as Monte Carlo's samples (about 65,000 per call),
-#: the guide is faster from about 4,096 values: 1.6 against 3.5 ms at 65,536.
-_GUIDE_MIN = 1 << 14
+#: through the envelope's guide table, not numpy's binary search. Monte
+#: Carlo prices about 8,192 unsorted samples per call (half a 2**14-trial
+#: chunk), twice this threshold. There, on a 2-CPU host (best of 7 x 20
+#: lookups, two runs), the guide took 96-114 against 156-187 us on a
+#: 12-entry envelope and 93-112 against 318-426 us on 64 entries, and tied
+#: on 3; on unsorted values it breaks even near 2,048-4,096. The binary
+#: search is faster on sorted values, such as the exact path's atoms and
+#: nodes (3 against 23 us at 256 values), whose calls mostly score 49-2,048.
+_GUIDE_MIN = 1 << 12
 
 
 def buyer_best_response_many(

@@ -3,8 +3,11 @@
 Randomness is counter-based: draw ``k`` of trial ``t`` is a pure hash of
 ``(seed, t, k)`` (a splitmix64 stream indexed by position), so results are
 bit-identical for identical inputs no matter how trials are chunked or
-scheduled. Estimates use a single pairwise-summation reduction over the
-per-trial values, which is likewise independent of the partitioning.
+scheduled. Chunks of ``_CHUNK`` trials, small enough that their scratch
+arrays stay in cache, write their per-trial values into arrays allocated
+once at the trial count. Each estimate is a single pairwise-summation
+reduction over those values, which is likewise independent of the
+partitioning, and works in place on one scratch buffer.
 
 One pass of draws feeds every estimate: each trial's buyer value and seller
 cost are sampled once, and both the first best ``(v - c)^+`` and the
@@ -14,6 +17,7 @@ mechanism's outcome are read off them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +35,7 @@ _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 # draws reserved per trial: 0 = proposer coin, 1 = buyer value, 2 = seller cost
 _DRAWS_PER_TRIAL = 4
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14
 
 
 def _uniforms(seed: int, start: int, count: int, draw: int) -> np.ndarray:
@@ -71,19 +75,25 @@ def _estimate(samples: np.ndarray, seed: int) -> SimEstimate:
         return SimEstimate(mean=0.0, stderr=0.0, trials=0, seed=seed)
     with np.errstate(over="ignore"):
         total = float(np.sum(samples))
+    buf = np.empty_like(samples)  # every later step runs in place here
+
+    def scale(x):
+        # k with max |x| in [2**(k - 1), 2**k); leaves |x| in buf
+        return math.frexp(float(np.abs(x, out=buf).max()))[1]
+
     if math.isfinite(total):
         mean = total / n
     else:
         # the plain sum overflowed: sum on the power-of-two scale of the
         # largest sample instead, which is exact
-        k = math.frexp(float(np.max(np.abs(samples))))[1]
-        mean = math.ldexp(float(np.sum(np.ldexp(samples, -k))) / n, k)
+        k = scale(samples)
+        mean = math.ldexp(float(np.sum(np.ldexp(samples, -k, out=buf))) / n, k)
     if n > 1:
-        # deviations scaled into [0.5, 1) by a power of two, which is exact,
-        # so their squares neither overflow at huge values nor vanish at tiny ones
-        dev = samples - mean
-        k = math.frexp(float(np.max(np.abs(dev))))[1]
-        var = float(np.sum(np.ldexp(dev, -k) ** 2) / (n - 1))
+        # |deviations| (their squares are the deviations') scaled into
+        # [0.5, 1) by a power of two, which is exact, so their squares
+        # neither overflow at huge values nor vanish at tiny ones
+        k = scale(np.subtract(samples, mean, out=buf))
+        var = float(np.sum(np.square(np.ldexp(buf, -k, out=buf), out=buf)) / (n - 1))
         stderr = math.ldexp(math.sqrt(max(var, 0.0) / n), k)
     else:
         stderr = 0.0
@@ -91,7 +101,13 @@ def _estimate(samples: np.ndarray, seed: int) -> SimEstimate:
 
 
 def _check_trials(trials: int) -> int:
-    trials = int(trials)
+    # int() would truncate 2.7 to 2 trials and coerce True to 1
+    if isinstance(trials, bool):
+        raise DomainError(f"trials must be an integer, got {trials!r}")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
     return trials
@@ -177,44 +193,41 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
     trials = _check_trials(trials)
     price_b, price_s = _proposer_prices(instance)
 
-    fb_parts, gft_parts, ub_parts, us_parts = [], [], [], []
+    # each chunk writes its slice of fb and gft and appends its proposers'
+    # utilities to u_b / u_s; each estimate reads the filled prefix
+    fb, gft, u_b, u_s = (np.empty(trials) for _ in range(4))
+    n_b = n_s = 0
     for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        coin = _uniforms(seed, start, count, 0)
-        v, key_v = _draw(instance.buyer, _uniforms(seed, start, count, 1))
-        c, key_c = _draw(instance.seller, _uniforms(seed, start, count, 2))
-        fb_parts.append(np.maximum(v - c, 0.0))
+        stop = min(start + _CHUNK, trials)
+        count = stop - start
+        buyer_proposes = _uniforms(seed, start, count, 0) < 0.5
         # trial indices of each proposer: gathering by index is several
         # times faster than by a boolean mask with random entries
-        buyer_side = np.flatnonzero(coin < 0.5)
-        seller_side = np.flatnonzero(coin >= 0.5)
+        buyer_side = np.flatnonzero(buyer_proposes)
+        seller_side = np.flatnonzero(~buyer_proposes)
+        v, key_v = _draw(instance.buyer, _uniforms(seed, start, count, 1))
+        c, key_c = _draw(instance.seller, _uniforms(seed, start, count, 2))
+        surplus = np.subtract(v, c, out=gft[start:stop])
+        np.maximum(surplus, 0.0, out=fb[start:stop])
+        # a rejected offer leaves the proposer's utility and the gft at 0
+        pb = price_b(key_v[buyer_side])
+        u = np.subtract(v[buyer_side], pb, out=u_b[n_b : n_b + pb.size])
+        np.copyto(u, 0.0, where=(no := c[buyer_side] > pb))
+        surplus[buyer_side[no]] = 0.0
+        n_b += pb.size
+        ps = price_s(key_c[seller_side])
+        u = np.subtract(ps, c[seller_side], out=u_s[n_s : n_s + ps.size])
+        np.copyto(u, 0.0, where=(no := v[seller_side] < ps))
+        surplus[seller_side[no]] = 0.0
+        n_s += ps.size
 
-        gft = np.zeros(count)
-
-        vb, cb = v[buyer_side], c[buyer_side]
-        if vb.size:
-            pb = price_b(key_v[buyer_side])
-            accept = cb <= pb
-            gft[buyer_side] = np.where(accept, vb - cb, 0.0)
-            ub_parts.append(np.where(accept, vb - pb, 0.0))
-
-        vs, cs = v[seller_side], c[seller_side]
-        if vs.size:
-            ps = price_s(key_c[seller_side])
-            accept = vs >= ps
-            gft[seller_side] = np.where(accept, vs - cs, 0.0)
-            us_parts.append(np.where(accept, ps - cs, 0.0))
-
-        gft_parts.append(gft)
-
-    empty = np.empty(0)
     return MechanismSimReport(
-        gft=_estimate(np.concatenate(gft_parts), seed),
-        u_buyer=_estimate(np.concatenate(ub_parts) if ub_parts else empty, seed),
-        u_seller=_estimate(np.concatenate(us_parts) if us_parts else empty, seed),
+        gft=_estimate(gft, seed),
+        u_buyer=_estimate(u_b[:n_b], seed),
+        u_seller=_estimate(u_s[:n_s], seed),
         trials=trials,
         seed=seed,
-        fb=_estimate(np.concatenate(fb_parts), seed),
+        fb=_estimate(fb, seed),
     )
 
 

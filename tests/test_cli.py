@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,29 @@ def test_cli_outputs_are_byte_identical(capsys, uu_path):
     cli.run(["verify", "--instance", uu_path, "--lambda", "0.31784"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_closed_stdout_exits_one_without_a_traceback(uu_path):
+    # stdout's reader is gone before the sweep writes its ~80 KB of rows,
+    # as in ``tradegains sweep ... | head -1`` once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["sweep", "--instance", uu_path, "--lambda-grid", "0.01:0.99:200"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tradegains.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_missing_file_exits_one(capsys):

@@ -1,4 +1,4 @@
-"""The scaling tool prints both tables at small sizes."""
+"""The scaling tool prints its tables at small sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -12,7 +12,7 @@ SPEC.loader.exec_module(scaling)
 
 def test_scaling_tables_at_8_atoms_and_51_knots(capsys):
     with budget(10):
-        assert scaling.main(["--atoms", "8", "--knots", "51", "--repeat", "1"]) == 0
+        assert scaling.main(["--atoms", "8", "--knots", "51", "--trials", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("best of 1; tradegains from ")
     discrete = next(line for line in lines if line.startswith("| 8 |"))
@@ -20,3 +20,13 @@ def test_scaling_tables_at_8_atoms_and_51_knots(capsys):
     assert len(discrete.split("|")) == 7 and discrete.count(" ms") == 4
     # the 51-knot equal-revenue pair: fb / gft, then two times
     assert pwl.split("|")[2].strip() == "1.4807" and pwl.count(" ms") == 2
+
+
+def test_montecarlo_table_at_1000_trials(capsys):
+    with budget(10):
+        assert scaling.main(["--atoms", "--knots", "--trials", "1000", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "| trials | c064 ns/trial | c064 B/trial | uu ns/trial | uu B/trial | pd32 ns/trial | pd32 B/trial |"
+    row = next(line for line in lines if line.startswith("| 1,000 |"))
+    cells = [float(cell) for cell in row.strip("|").split("|")[1:]]
+    assert len(cells) == 6 and all(cell > 0.0 for cell in cells)

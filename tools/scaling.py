@@ -1,8 +1,9 @@
-"""Scaling tables: exact-pipeline wall times by atom and knot count.
+"""Scaling tables: exact-pipeline wall times by atom and knot count, Monte Carlo cost by trial count.
 
-    python tools/scaling.py [--atoms 8 32 128 512 2048] [--knots 201 801 3201] [--repeat 3]
+    python tools/scaling.py [--atoms 8 32 128 512 2048] [--knots 201 801 3201]
+                            [--trials 10000 250000 1000000] [--repeat 3]
 
-Imports ``tradegains`` from this checkout's ``src/`` and prints two
+Imports ``tradegains`` from this checkout's ``src/`` and prints three
 Markdown tables, each time the best of ``--repeat`` wall times:
 
 * discrete x discrete instances with uniform values and Dirichlet(1)
@@ -11,10 +12,15 @@ Markdown tables, each time the best of ``--repeat`` wall times:
   ``equilibrium`` makes (the seller's and the negated buyer's);
 * the mirrored equal-revenue pwl pair at H = 100: the buyer quantile is
   ``min(1 / (1 - q), H)`` on a uniform q-grid and the seller's cost is
-  ``H + 1 - v``; ``fb / gft``, ``equilibrium`` and ``verify_bounds``.
+  ``H + 1 - v``; ``fb / gft``, ``equilibrium`` and ``verify_bounds``;
+* ``simulate_mechanism`` at seed 0 on three instances (64 midpoint atoms
+  per side, uniform x uniform, and a seeded 32-knot pwl buyer against a
+  32-atom discrete seller): ns per trial, and the peak bytes per trial
+  that ``tracemalloc`` (which sees numpy's buffers) reads over one
+  further call on a warm instance.
 
-Every timed call gets a freshly built instance, so no prior's caches are
-warm; building it is not timed.
+An empty list skips its table. Every timed call gets a freshly built
+instance, so no prior's caches are warm; building it is not timed.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import argparse
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +42,9 @@ from tradegains import (  # noqa: E402
     PiecewiseLinearDistribution,
     TradeInstance,
     equilibrium,
+    simulate_mechanism,
     sweep_bounds,
+    uniform,
     verify_bounds,
 )
 
@@ -63,6 +72,28 @@ def equal_revenue_instance(knots: int) -> TradeInstance:
         zip([1.0 - q for q in reversed(qs)], [TOP + 1.0 - v for v in reversed(vals)])
     )
     return TradeInstance(buyer=buyer, seller=seller)
+
+
+def canonical_instance() -> TradeInstance:
+    d = DiscreteDistribution.from_atoms(((2 * i + 1) / 128, 1 / 64) for i in range(64))
+    return TradeInstance(buyer=d, seller=d)
+
+
+def pwl_discrete_instance() -> TradeInstance:
+    rng = np.random.default_rng(13)
+    buyer = PiecewiseLinearDistribution.from_knots(
+        zip(np.linspace(0.0, 1.0, 32).tolist(), np.sort(rng.uniform(0.0, 1.0, 32)).tolist())
+    )
+    values = np.unique(rng.uniform(0.0, 1.0, 32))
+    seller = DiscreteDistribution.from_atoms(zip(values.tolist(), rng.dirichlet(np.ones(len(values))).tolist()))
+    return TradeInstance(buyer=buyer, seller=seller)
+
+
+MC_INSTANCES = {
+    "c064": canonical_instance,
+    "uu": lambda: TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1)),
+    "pd32": pwl_discrete_instance,
+}
 
 
 def envelope_builds(instance: TradeInstance) -> None:
@@ -111,19 +142,45 @@ def equal_revenue_table(knot_counts, repeat: int) -> list[str]:
     return lines
 
 
+def peak_bytes(instance: TradeInstance, trials: int) -> int:
+    """Peak traced bytes of one ``simulate_mechanism`` call on a warm instance."""
+    simulate_mechanism(instance, 1, 0)
+    tracemalloc.start()
+    try:
+        simulate_mechanism(instance, trials, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def montecarlo_table(trial_counts, repeat: int) -> list[str]:
+    header = " | ".join(f"{name} ns/trial | {name} B/trial" for name in MC_INSTANCES)
+    lines = [f"| trials | {header} |", "| " + " | ".join("---" for _ in range(2 * len(MC_INSTANCES) + 1)) + " |"]
+    for trials in trial_counts:
+        cells = []
+        for build in MC_INSTANCES.values():
+            t = best_time(lambda i: build(), lambda inst: simulate_mechanism(inst, trials, 0), repeat)
+            cells += [f"{t / trials * 1e9:.3g}", f"{peak_bytes(build(), trials) / trials:.1f}"]
+        lines.append(f"| {trials:,} | " + " | ".join(cells) + " |")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--atoms", type=int, nargs="*", default=[8, 32, 128, 512, 2048])
     parser.add_argument("--knots", type=int, nargs="*", default=[201, 801, 3201])
+    parser.add_argument("--trials", type=int, nargs="*", default=[10_000, 250_000, 1_000_000])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
-    if args.repeat < 1 or any(n < 1 for n in args.atoms) or any(n < 2 for n in args.knots):
-        parser.error("--repeat and --atoms take counts of at least 1, --knots of at least 2")
+    if args.repeat < 1 or any(n < 1 for n in args.atoms + args.trials) or any(n < 2 for n in args.knots):
+        parser.error("--repeat, --atoms and --trials take counts of at least 1, --knots of at least 2")
     print(f"best of {args.repeat}; tradegains from {ROOT / 'src'}")
     if args.atoms:
         print("\n" + "\n".join(discrete_table(args.atoms, args.repeat)))
     if args.knots:
         print("\n" + "\n".join(equal_revenue_table(args.knots, args.repeat)))
+    if args.trials:
+        print("\n" + "\n".join(montecarlo_table(args.trials, args.repeat)))
     return 0
 
 
