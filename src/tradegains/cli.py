@@ -23,9 +23,10 @@ from .mechanism import (
     trade_instance_from_json,
 )
 from .montecarlo import simulate_mechanism
-# unused here, kept importable: the benchmark's traced runs wrap this name
+# unused here, kept importable: the benchmark's traced runs wrap these names
 from .montecarlo import simulate_fb  # noqa: F401
-from .ratio import guarantee_check, optimize_lambda, ratio_bound
+from .ratio import ratio_bound  # noqa: F401
+from .ratio import guarantee_check, optimize_lambda
 from .search import SearchConfig, worst_case_search
 
 SWEEP_COLUMNS = (
@@ -137,7 +138,7 @@ def _sweep_row(report) -> dict:
         "u_S": report.u_seller,
         "E_area_A": report.mean_area_A,
         "E_u_S_geom": report.mean_u_S_geom,
-        "ratio_bound": ratio_bound(report.lam),
+        "ratio_bound": report.ratio_bound,
         "slack_identity": report.slacks["identity"],
         "slack_area_log": report.slacks["area_log"],
         "slack_avg": report.slacks["avg"],
@@ -151,6 +152,79 @@ def _format_csv(rows: list[dict]) -> str:
     for row in rows:
         lines.append(",".join(repr(float(row[col])) for col in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
+
+
+def dumps_indented(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, written by json's C encoder.
+
+    json's C encoder has no indent, so ``indent=2`` sends ``json.dumps``
+    down its pure-Python path. Here the C encoder, given the item separator
+    ``",\\n"`` plus the indent, writes each container that holds no
+    non-empty container in one call, and each run of such items of any
+    other container in one call; Python assembles only the nesting. Where
+    json has no C encoder, or the nesting is cyclic or too deep, the text
+    (or the error) is ``json.dumps``'s own.
+    """
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(payload, indent=2)
+    try:
+        return _indented(payload, 0)
+    except RecursionError:
+        return json.dumps(payload, indent=2)
+
+
+#: Types that json writes as one token.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder for ``json.dumps(..., indent=2)`` items at nesting ``depth``."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * depth, False, False, True,
+    )
+
+
+def _indented(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2)`` for ``obj`` nested ``depth`` levels deep."""
+    if isinstance(obj, dict):
+        is_dict, values = True, obj.values()
+    elif isinstance(obj, (list, tuple)):
+        is_dict, values = False, obj
+    else:
+        return "".join(_flat_encoder(depth)(obj, 0))
+    if not obj:
+        return "{}" if is_dict else "[]"
+    encode = _flat_encoder(depth + 1)
+
+    def inner(run) -> str:
+        return "".join(encode(run, 0))[1:-1]
+
+    if _SCALARS.issuperset(map(type, values)):
+        parts = [inner(obj)]
+    else:
+        parts = []
+        items = list(obj.items()) if is_dict else list(obj)
+        start = 0
+        for i, item in enumerate(items):
+            value = item[1] if is_dict else item
+            if not (isinstance(value, (list, tuple, dict)) and value):
+                continue
+            # the flat items before ``value`` and its key, written with a
+            # null in its place, which is then cut off
+            if is_dict:
+                parts.append(inner(dict(items[start:i] + [(item[0], None)]))[:-4])
+            else:
+                parts.append(inner(items[start:i] + [None])[:-4] if start < i else "")
+            parts[-1] += _indented(value, depth + 1)
+            start = i + 1
+        if start < len(items):
+            rest = items[start:]
+            parts.append(inner(dict(rest) if is_dict else rest))
+    pad = "  " * depth
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}{closing}"
 
 
 def _dispatch(args: argparse.Namespace):
@@ -212,7 +286,7 @@ def run(argv=None) -> int:
     if isinstance(payload, str):
         sys.stdout.write(payload)
     else:
-        print(json.dumps(payload, indent=2))
+        print(dumps_indented(payload))
     return 0
 
 

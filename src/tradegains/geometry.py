@@ -268,6 +268,8 @@ class BoundReport:
     * ``buyer_scale_min``  -- min over probed v of ``u_B_dev - lambda * area_B``
     * ``seller_scale_min`` -- min over probed v of ``u_S_geom - (1 - lambda) * area_S``
     * ``quarter``          -- ``gft - fb / 4`` (present only at lambda = 1/2)
+
+    ``ratio_bound`` is :func:`~tradegains.ratio.ratio_bound` at ``lam``.
     """
 
     lam: float
@@ -277,6 +279,7 @@ class BoundReport:
     u_seller: float
     mean_area_A: float
     mean_u_S_geom: float
+    ratio_bound: float
     slacks: dict[str, float]
 
     def to_json(self) -> dict:
@@ -328,60 +331,81 @@ def _probe_terms(probes: np.ndarray, seller: Distribution, lams: list[float]) ->
     return area_a, u_s_geom, u_b_dev - lam_row * area_b, u_s_geom - (1.0 - lam_row) * area_s
 
 
+#: :class:`BoundReport`'s slacks, in the order they are checked.
+_SLACK_NAMES = (
+    "identity", "area_log", "avg", "avg_swap", "gft_floor", "buyer_scale_min", "seller_scale_min", "quarter",
+)
+
+
 def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams: list[float]) -> list[BoundReport]:
     """One :class:`BoundReport` per lambda of the checked list ``lams``."""
-    buyer, seller = instance.buyer, instance.seller
     # the probe values include every atom of a discrete buyer
-    probes = _probe_values(buyer)
+    probes = _probe_values(instance.buyer)
     block = max(1, _BLOCK_PAIRS // probes.size)
-
     reports = []
-    for k, lam in enumerate(lams):
-        row = k % block
-        if row == 0:  # the lambdas from k on, a block at a time
-            area_a, u_s_geom, buyer_terms, seller_terms = _probe_terms(probes, seller, lams[k : k + block])
-        if isinstance(buyer, PiecewiseLinearDistribution):
-            means = expect(
-                buyer,
-                lambda vs, lam=lam: _quantile_fields(vs, seller, lam)[3:],
-                _decomposition_breakpoints(seller, lam),
-            )
-        else:
-            # expect's nodes are the atoms, which are the probe values
-            means = expect(buyer, lambda _, row=row: (area_a[row], u_s_geom[row]))
-        mean_area_a, mean_u_s_geom = means
-        log_term = _log_inverse(lam)
-        slacks = {
-            "identity": mean_u_s_geom + mean_area_a - (1.0 - lam) * eq.fb,
-            "area_log": eq.u_buyer * log_term - mean_area_a,
-            "avg": eq.u_seller + eq.u_buyer * log_term - (1.0 - lam) * eq.fb,
-            "avg_swap": eq.u_buyer + eq.u_seller * log_term - (1.0 - lam) * eq.fb,
-            "gft_floor": eq.gft - (1.0 - lam) * eq.fb / (1.0 + log_term),
-            # seeded with inf and taken in probe order, so a NaN term is skipped
-            "buyer_scale_min": min([math.inf] + buyer_terms[row].tolist()),
-            "seller_scale_min": min([math.inf] + seller_terms[row].tolist()),
-        }
-        if lam == 0.5:
-            slacks["quarter"] = eq.gft - eq.fb / 4.0
-
-        tol = SLACK_TOL * max(1.0, abs(eq.fb))
-        # written so that a NaN slack fails too
-        if not abs(slacks["identity"]) <= tol:
-            raise InvariantViolation(
-                f"identity slack {slacks['identity']!r} exceeds tolerance {tol!r}"
-            )
-        for name, slack in slacks.items():
-            if name != "identity" and not slack >= -tol:
-                raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
-
-        reports.append(BoundReport(
-            lam=lam,
-            fb=eq.fb,
-            gft=eq.gft,
-            u_buyer=eq.u_buyer,
-            u_seller=eq.u_seller,
-            mean_area_A=mean_area_a,
-            mean_u_S_geom=mean_u_s_geom,
-            slacks=slacks,
-        ))
+    for start in range(0, len(lams), block):
+        reports += _block_reports(instance, eq, probes, lams[start : start + block])
     return reports
+
+
+def _block_reports(instance: TradeInstance, eq: EquilibriumReport, probes: np.ndarray, lams: list[float]) -> list[BoundReport]:
+    """:func:`_bound_report` on one block of lambdas, each step over the whole block."""
+    buyer, seller = instance.buyer, instance.seller
+    area_a, u_s_geom, buyer_terms, seller_terms = _probe_terms(probes, seller, lams)
+    if isinstance(buyer, PiecewiseLinearDistribution):
+        # the quadrature's breakpoints depend on lambda, so one expect per lambda
+        means = [
+            expect(buyer, lambda vs, lam=lam: _quantile_fields(vs, seller, lam)[3:], _decomposition_breakpoints(seller, lam))
+            for lam in lams
+        ]
+        mean_area_a, mean_u_s_geom = zip(*means)
+    else:
+        # expect's atom sums, a row per lambda: the probe values are the atoms
+        probs = buyer._probs_arr
+        mean_area_a = [math.fsum(row) for row in (probs * area_a).tolist()]
+        mean_u_s_geom = [math.fsum(row) for row in (probs * u_s_geom).tolist()]
+
+    fb, gft, u_buyer, u_seller = eq.fb, eq.gft, eq.u_buyer, eq.u_seller
+    quarter = gft - fb / 4.0
+    logs = [_log_inverse(lam) for lam in lams]
+    # a row of slacks per lambda, in _SLACK_NAMES order, each written as in
+    # BoundReport's docstring with (1 - lambda) * fb computed once
+    rows = [
+        (g + a - k, u_buyer * t - a, u_seller + u_buyer * t - k, u_buyer + u_seller * t - k,
+         gft - k / (1.0 + t), buyer_min, seller_min, quarter)
+        for a, g, t, k, buyer_min, seller_min in zip(
+            mean_area_a, mean_u_s_geom, logs, [(1.0 - lam) * fb for lam in lams],
+            # seeded with inf and taken in probe order, so a NaN term is skipped
+            [min([math.inf] + row) for row in buyer_terms.tolist()],
+            [min([math.inf] + row) for row in seller_terms.tolist()],
+        )
+    ]
+
+    tol = SLACK_TOL * max(1.0, abs(fb))
+    # written so that a NaN slack fails too; quarter is a slack at lambda = 1/2 only
+    if not all(
+        abs(r[0]) <= tol and r[1] >= -tol and r[2] >= -tol and r[3] >= -tol and r[4] >= -tol
+        and r[5] >= -tol and r[6] >= -tol and (lam != 0.5 or r[7] >= -tol)
+        for lam, r in zip(lams, rows)
+    ):
+        for lam, row in zip(lams, rows):  # the first failing lambda, and its first failing slack
+            if not abs(row[0]) <= tol:
+                raise InvariantViolation(f"identity slack {row[0]!r} exceeds tolerance {tol!r}")
+            for name, slack in zip(_SLACK_NAMES[1:] if lam == 0.5 else _SLACK_NAMES[1:-1], row[1:]):
+                if not slack >= -tol:
+                    raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
+
+    return [
+        BoundReport(
+            lam=lam,
+            fb=fb,
+            gft=gft,
+            u_buyer=u_buyer,
+            u_seller=u_seller,
+            mean_area_A=area,
+            mean_u_S_geom=geom,
+            ratio_bound=(1.0 + t) / (1.0 - lam),
+            slacks=dict(zip(_SLACK_NAMES if lam == 0.5 else _SLACK_NAMES[:-1], row)),
+        )
+        for lam, t, area, geom, row in zip(lams, logs, mean_area_a, mean_u_s_geom, rows)
+    ]

@@ -63,12 +63,14 @@ def optimize_lambda(tol: float = 1e-12) -> LambdaOptimum:
 
     ``g(lambda) = 2 - 1/lambda - ln(lambda)`` is strictly increasing on
     (0, 1), so a safeguarded Newton iteration inside a sign-changing
-    bracket converges quadratically to the unique root. ``tol`` is the
-    relative tolerance on ``lambda_star``.
+    bracket converges quadratically to the unique root. ``tol``, in (0, 1),
+    is the relative tolerance on ``lambda_star``.
     """
     tol = float(tol)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    # a relative tolerance of 1 or more certifies no digit of lambda_star;
+    # from 3 on the first bracket test passes and the initial guess is returned
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
 
     def g(x: float) -> float:
         return 2.0 - 1.0 / x - math.log(x)

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tradegains.cli as cli
 import tradegains.geometry as geometry
@@ -41,6 +43,20 @@ def empty_trade_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture(autouse=True)
+def printed_payloads_match_json(monkeypatch):
+    """Every JSON payload a test here prints is checked against ``json.dumps(payload, indent=2)``."""
+    dispatch = cli._dispatch
+
+    def checked(args):
+        payload = dispatch(args)
+        if not isinstance(payload, str):
+            assert cli.dumps_indented(payload) == json.dumps(payload, indent=2)
+        return payload
+
+    monkeypatch.setattr(cli, "_dispatch", checked)
+
+
 def run_json(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -65,6 +81,14 @@ def test_lambda_opt_command(capsys):
     assert code == 0
     assert payload["lambda_star"] == pytest.approx(0.31784, abs=1e-4)
     assert payload["ratio_star"] == pytest.approx(3.1462, abs=1e-4)
+
+
+@pytest.mark.parametrize("tol", ["1", "3", "1e308", "inf"])
+def test_lambda_opt_tolerance_of_one_or_more_exits_one(capsys, tol):
+    assert cli.run(["lambda-opt", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must lie in (0, 1), got {float(tol)!r}\n"
 
 
 def test_decompose_fixed_v(capsys, uu_path):
@@ -327,3 +351,52 @@ def test_invariant_violation_exits_two(capsys, uu_path, monkeypatch):
     monkeypatch.setattr(cli, "verify_bounds", boom)
     assert cli.run(["verify", "--instance", uu_path, "--lambda", "0.5"]) == 2
     assert "invariant violation" in capsys.readouterr().err
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.text()
+    | st.sampled_from(["\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/\b\f\n\r\t'])
+)
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(PAYLOADS)
+def test_writer_matches_json_dumps(payload):
+    assert cli.dumps_indented(payload) == json.dumps(payload, indent=2)
+
+
+def test_writer_on_the_cli_payload_shapes():
+    flat = {"a": -0.0, "b": math.nan, "c": math.inf, "d": -math.inf, "e": 1e-310, "f": 2, "g": "x"}
+    for payload in (
+        [dict(flat) for _ in range(3)],  # sweep
+        {**flat, "slacks": dict(flat), "margin_315": 0.5, "margin_4": 0.25},  # verify
+        {"fb": dict(flat), "mechanism": {"gft": dict(flat), "trials": 7, "seed": 3}},  # simulate
+        {"best_ratio": 1.5, "best_instance": {"buyer": {"values": [0.1], "probs": [1.0]}}, "trace": [[0, 1.5], []]},
+        [], {}, [[]], [{}, 1, [2, [3]], {"k": []}], 0.1, "s", None,
+    ):
+        assert cli.dumps_indented(payload) == json.dumps(payload, indent=2)
+
+
+def test_writer_leaves_json_its_own_text_and_errors(monkeypatch):
+    cyclic = []
+    cyclic.append(cyclic)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        cli.dumps_indented({"a": [1, cyclic]})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli.dumps_indented({"a": [1, {"b": object()}]})
+    # where json has no C encoder
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    payload = {"a": [1.5, {"b": -0.0}], "c": math.nan}
+    assert cli.dumps_indented(payload) == json.dumps(payload, indent=2)

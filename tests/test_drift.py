@@ -51,3 +51,14 @@ def test_a_moved_number_reports_its_move_relative_to_max_one_and_the_base():
     assert same
     assert move == 0.25  # 0.25 / max(1, 0.25) beats 1 / 1000
     assert drift.compare("x -4e2", "x -4.04e2") == (True, pytest.approx(0.01))
+
+
+def test_each_seed_ends_with_long_grid_sweeps_on_existing_instances(tmp_path):
+    calls = drift.build_calls([1], tmp_path)
+    long_grid = [argv for name, argv in calls if name == "long-grid"]
+    assert [name for name, _ in calls[-4:]] == ["long-grid"] * 4 and len(long_grid) == 4
+    for argv in long_grid:
+        assert argv[:2] + argv[3:6] == ["sweep", "--instance", "--lambda-grid", drift.LONG_GRID, "--format"]
+        assert Path(argv[2]).is_file()
+    assert {Path(argv[2]).name for argv in long_grid} == {"d256.json", "pd320.json"}
+    assert {argv[-1] for argv in long_grid} == {"json", "csv"}

@@ -22,6 +22,7 @@ from tradegains import (
     key_lemma_margins,
     point,
     guarantee_check,
+    ratio_bound,
     seller_scaling_utility,
     sweep_bounds,
     uniform,
@@ -318,13 +319,14 @@ def test_verify_bounds_on_corpus(corpus_small):
     for instance in corpus_small[:25]:
         for lam in lams:
             report = verify_bounds(instance, lam)
+            assert float.hex(report.ratio_bound) == float.hex(ratio_bound(lam))
             tol = 1e-9 * max(1.0, report.fb)
             assert abs(report.slacks["identity"]) <= tol
             for name, slack in report.slacks.items():
                 if name != "identity":
                     assert slack >= -tol
         reports = [verify_bounds(instance, lam) for lam in lams]
-        assert sweep_bounds(instance, lams) == reports
+        assert [report_hex(r) for r in sweep_bounds(instance, lams)] == [report_hex(r) for r in reports]
         assert guarantee_check(reports[0]) == guarantee_check(equilibrium(instance))
 
 
@@ -392,4 +394,52 @@ def test_sweep_bounds_decomposes_a_bounded_block_at_a_time(monkeypatch):
     assert sum(sizes) == len(lams) * len(buyer.values)
     block = geometry._BLOCK_PAIRS // len(buyer.values)
     for k in (0, block - 1, block, len(lams) - 1):
-        assert reports[k] == verify_bounds(instance, lams[k])
+        assert report_hex(reports[k]) == report_hex(verify_bounds(instance, lams[k]))
+
+
+def report_hex(report):
+    """Every float of a :class:`BoundReport`, slacks included, as ``float.hex``.
+
+    ``==`` on reports takes 0.0 for -0.0, which print differently.
+    """
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "slacks"}
+    fields.update((f"slack {name}", slack) for name, slack in report.slacks.items())
+    return {name: float.hex(value) for name, value in fields.items()}
+
+
+def test_report_hex_tells_zero_from_negative_zero():
+    report = verify_bounds(P1U, 0.5)
+    assert "slack quarter" in report_hex(report)
+    flipped = dataclasses.replace(report, slacks={**report.slacks, "identity": -report.slacks["identity"]})
+    assert report.slacks["identity"] == 0.0 and flipped == report
+    assert report_hex(flipped) != report_hex(report)
+
+
+@pytest.mark.parametrize(
+    "instance, patch, message",
+    [
+        # gft / fb = 0.3 is above the floor (1 - lambda) / (1 + ln(1/lambda))
+        # at lambda = 0.05, 0.10 and 0.15, and first below it at 0.20
+        (UU, lambda eq: {"gft": 0.3 * eq.fb}, "slack gft_floor = -0.0010965724449673378 below -1e-09"),
+        (random_discrete_instance(1), lambda eq: {"gft": 0.3 * eq.fb},
+         "slack gft_floor = -0.0010145940392908073 below -1e-09"),
+        # area_log and avg both fail at lambda = 0.05; area_log comes first
+        (UU, lambda eq: {"u_buyer": 0.0}, "slack area_log = -0.15041666666666664 below -1e-09"),
+        (random_discrete_instance(1), lambda eq: {"u_buyer": 0.0},
+         "slack area_log = -0.13714469548684832 below -1e-09"),
+        # identity and others fail at lambda = 0.05; identity comes first
+        (UU, lambda eq: {"fb": 2.0 * eq.fb}, "identity slack -0.15833333333333338 exceeds tolerance 1e-09"),
+        (random_discrete_instance(1), lambda eq: {"fb": 2.0 * eq.fb},
+         "identity slack -0.14649652830354432 exceeds tolerance 1e-09"),
+    ],
+    ids=["gft-pwl", "gft-discrete", "u_buyer-pwl", "u_buyer-discrete", "fb-pwl", "fb-discrete"],
+)
+def test_sweep_reports_the_first_failing_lambda_and_slack(monkeypatch, instance, patch, message):
+    eq = equilibrium(instance)
+    patched = dataclasses.replace(eq, **patch(eq))
+    monkeypatch.setattr(geometry, "equilibrium", lambda _: patched)
+    if "gft" in patch(eq):
+        sweep_bounds(instance, LAMBDA_GRID[:3])  # the failure is at a later lambda only
+    with pytest.raises(InvariantViolation) as err:
+        sweep_bounds(instance, LAMBDA_GRID)
+    assert str(err.value) == message

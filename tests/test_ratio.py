@@ -81,9 +81,14 @@ def test_optimize_lambda_runtime_under_one_millisecond():
     assert best < 1e-3
 
 
-def test_optimize_lambda_tolerance_domain():
-    with pytest.raises(DomainError):
-        optimize_lambda(0.0)
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, 1.0, 3.0, 1e308, math.inf])
+def test_optimize_lambda_tolerance_domain(tol):
+    # from 3 on, a tolerance used to return the initial guess 0.3 as the optimum
+    with pytest.raises(DomainError, match=r"tol must lie in \(0, 1\)"):
+        optimize_lambda(tol)
+
+
+def test_optimize_lambda_converges_at_the_tightest_tolerances():
     assert optimize_lambda(1e-14).stationarity_residual <= 1e-10
 
 

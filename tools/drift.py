@@ -5,6 +5,10 @@
 For each seed it builds every workload's instance files with the builders
 of ``perfbench/workloads.py`` (from this checkout, into a temporary
 directory) and lists the CLI calls of one round of each: 1,402 per seed.
+Four ``long-grid`` calls per seed follow: ``sweep`` over a 1,000-lambda
+grid, as JSON and as CSV, on discrete-large's 256-atom ``d256`` and on
+pwl-exact's 32-knot ``pd320``. Their grids cross the block boundaries of
+``geometry._bound_report``, which no workload's 19-lambda grid reaches.
 The base and this checkout then run all of them, in order, each in one
 process of its own that imports ``tradegains`` from the checkout's
 ``src/``. Nothing under ``perfbench/`` is written.
@@ -34,8 +38,13 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
+#: The long-grid sweeps: their grid, and the (workload, instance) files they run on.
+LONG_GRID = "0.001:0.999:1000"
+LONG_GRID_INSTANCES = (("discrete-large", "d256"), ("pwl-exact", "pd320"))
+
+
 def build_calls(seeds: list[int], directory: Path) -> list[tuple[str, list[str]]]:
-    """``(workload, argv)`` of every call of one round of each workload, seed by seed."""
+    """``(workload, argv)`` of every call of one round of each workload, then the long-grid sweeps, seed by seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
@@ -44,6 +53,10 @@ def build_calls(seeds: list[int], directory: Path) -> list[tuple[str, list[str]]
         for name, workload in WORKLOADS.items():
             _, ops = workload.build(seed, str(directory / f"{name}-{seed}"))
             calls.extend((name, list(argv)) for op in ops for argv in op.calls)
+        for name, key in LONG_GRID_INSTANCES:
+            path = str(directory / f"{name}-{seed}" / f"{key}.json")
+            for fmt in ("json", "csv"):
+                calls.append(("long-grid", ["sweep", "--instance", path, "--lambda-grid", LONG_GRID, "--format", fmt]))
     return calls
 
 

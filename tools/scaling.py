@@ -1,9 +1,10 @@
 """Scaling tables: exact-pipeline wall times by atom and knot count, Monte Carlo cost by trial count.
 
     python tools/scaling.py [--atoms 8 32 128 512 2048] [--knots 201 801 3201]
-                            [--trials 10000 250000 1000000] [--repeat 3]
+                            [--trials 10000 250000 1000000]
+                            [--sweep-atoms 8 256] [--sweep-lambdas 1 19 1000] [--repeat 3]
 
-Imports ``tradegains`` from this checkout's ``src/`` and prints three
+Imports ``tradegains`` from this checkout's ``src/`` and prints four
 Markdown tables, each time the best of ``--repeat`` wall times:
 
 * discrete x discrete instances with uniform values and Dirichlet(1)
@@ -17,7 +18,11 @@ Markdown tables, each time the best of ``--repeat`` wall times:
   per side, uniform x uniform, and a seeded 32-knot pwl buyer against a
   32-atom discrete seller): ns per trial, and the peak bytes per trial
   that ``tracemalloc`` (which sees numpy's buffers) reads over one
-  further call on a warm instance.
+  further call on a warm instance;
+* ``tradegains sweep`` through ``cli.run``, loading and printing included,
+  on the discrete instances of the first table written to a file: ms per
+  call at each lambda count (one lambda is 0.31784, more span 0.05:0.95),
+  and the microseconds each lambda beyond the smallest count adds.
 
 An empty list skips its table. Every timed call gets a freshly built
 instance, so no prior's caches are warm; building it is not timed.
@@ -26,8 +31,12 @@ instance, so no prior's caches are warm; building it is not timed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import math
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -44,9 +53,11 @@ from tradegains import (  # noqa: E402
     equilibrium,
     simulate_mechanism,
     sweep_bounds,
+    trade_instance_to_json,
     uniform,
     verify_bounds,
 )
+from tradegains.cli import run  # noqa: E402
 
 LAMBDA = 0.31784
 LAMBDA_GRID = tuple(i / 20 for i in range(1, 20))
@@ -165,15 +176,46 @@ def montecarlo_table(trial_counts, repeat: int) -> list[str]:
     return lines
 
 
+def sweep_table(atom_counts, lambda_counts, repeat: int) -> list[str]:
+    counts = sorted(set(lambda_counts))
+    header = [f"{n:,} λ" for n in counts] + [f"us per λ beyond {counts[0]:,}, at {n:,} λ" for n in counts if n > counts[0]]
+    lines = ["| atoms per side | " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in range(len(header) + 1)) + " |"]
+    with tempfile.TemporaryDirectory(prefix="scaling-") as tmp:
+        for atoms in atom_counts:
+
+            def build(i):
+                path = Path(tmp) / f"d{atoms}-{i}.json"
+                path.write_text(json.dumps(trade_instance_to_json(discrete_instance(atoms, i))))
+                return str(path)
+
+            times = {}
+            for n in counts:
+                grid = f"{LAMBDA}:{LAMBDA}:1" if n == 1 else f"0.05:0.95:{n}"
+
+                def sweep(path):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        if run(["sweep", "--instance", path, "--lambda-grid", grid]) != 0:
+                            raise RuntimeError(f"sweep failed on {path}")
+
+                times[n] = best_time(build, sweep, repeat)
+            cells = [ms(times[n]) for n in counts]
+            cells += [f"{(times[n] - times[counts[0]]) / (n - counts[0]) * 1e6:.3g}" for n in counts if n > counts[0]]
+            lines.append(f"| {atoms:,} | " + " | ".join(cells) + " |")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--atoms", type=int, nargs="*", default=[8, 32, 128, 512, 2048])
     parser.add_argument("--knots", type=int, nargs="*", default=[201, 801, 3201])
     parser.add_argument("--trials", type=int, nargs="*", default=[10_000, 250_000, 1_000_000])
+    parser.add_argument("--sweep-atoms", type=int, nargs="*", default=[8, 256])
+    parser.add_argument("--sweep-lambdas", type=int, nargs="*", default=[1, 19, 1000])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
-    if args.repeat < 1 or any(n < 1 for n in args.atoms + args.trials) or any(n < 2 for n in args.knots):
-        parser.error("--repeat, --atoms and --trials take counts of at least 1, --knots of at least 2")
+    counts = args.atoms + args.trials + args.sweep_atoms + args.sweep_lambdas
+    if args.repeat < 1 or any(n < 1 for n in counts) or any(n < 2 for n in args.knots):
+        parser.error("--repeat, --atoms, --trials, --sweep-atoms and --sweep-lambdas take counts of at least 1, --knots of at least 2")
     print(f"best of {args.repeat}; tradegains from {ROOT / 'src'}")
     if args.atoms:
         print("\n" + "\n".join(discrete_table(args.atoms, args.repeat)))
@@ -181,6 +223,8 @@ def main(argv=None) -> int:
         print("\n" + "\n".join(equal_revenue_table(args.knots, args.repeat)))
     if args.trials:
         print("\n" + "\n".join(montecarlo_table(args.trials, args.repeat)))
+    if args.sweep_atoms and args.sweep_lambdas:
+        print("\n" + "\n".join(sweep_table(args.sweep_atoms, args.sweep_lambdas, args.repeat)))
     return 0
 
 
