@@ -990,7 +990,7 @@ def expect(
     widths, so it is bit-identical to ``expect`` of that field alone.
     """
     if isinstance(dist, DiscreteDistribution):
-        return _fields(fn(dist._values_arr), lambda f: math.fsum((dist._probs_arr * f).tolist()))
+        return _fields(fn(dist._values_arr), lambda f: _atom_sums(dist, f)[0])
 
     cuts = set(dist.qs)
     bs = np.asarray(breakpoints, dtype=float)
@@ -1006,6 +1006,15 @@ def expect(
         return math.fsum((halves * pieces).tolist())
 
     return _fields(fn(nodes.ravel()), integrate)
+
+
+def _atom_sums(dist: DiscreteDistribution, fields: np.ndarray) -> list[float]:
+    """``math.fsum`` of ``probs * f`` for each row ``f`` of ``fields``, whose last axis runs over the atoms.
+
+    This is :func:`expect`'s exact atom sum, one row of integrand values at a time.
+    """
+    probs = dist._probs_arr
+    return [math.fsum(row) for row in (probs * fields).reshape(-1, probs.size).tolist()]
 
 
 def _fields(values, integrate: Callable[[np.ndarray], float]) -> float | tuple[float, ...]:

@@ -33,6 +33,7 @@ from .distributions import (
     DiscreteDistribution,
     Distribution,
     PiecewiseLinearDistribution,
+    _atom_sums,
     expect,
 )
 from .errors import DomainError, InvariantViolation
@@ -45,7 +46,7 @@ from .mechanism import (
     buyer_response_breakpoints,
     equilibrium,
 )
-from .ratio import _check_lambda, _log_inverse
+from .ratio import _check_lambda, _log_inverse, _ratio_from_log
 
 #: Slack tolerance for the proven identities/inequalities, relative to
 #: max(1, magnitude).
@@ -331,12 +332,6 @@ def _probe_terms(probes: np.ndarray, seller: Distribution, lams: list[float]) ->
     return area_a, u_s_geom, u_b_dev - lam_row * area_b, u_s_geom - (1.0 - lam_row) * area_s
 
 
-#: :class:`BoundReport`'s slacks, in the order they are checked.
-_SLACK_NAMES = (
-    "identity", "area_log", "avg", "avg_swap", "gft_floor", "buyer_scale_min", "seller_scale_min", "quarter",
-)
-
-
 def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams: list[float]) -> list[BoundReport]:
     """One :class:`BoundReport` per lambda of the checked list ``lams``."""
     # the probe values include every atom of a discrete buyer
@@ -349,7 +344,7 @@ def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams: list[flo
 
 
 def _block_reports(instance: TradeInstance, eq: EquilibriumReport, probes: np.ndarray, lams: list[float]) -> list[BoundReport]:
-    """:func:`_bound_report` on one block of lambdas, each step over the whole block."""
+    """:func:`_bound_report` on one block of lambdas, whose means and scale minima are taken over the whole block."""
     buyer, seller = instance.buyer, instance.seller
     area_a, u_s_geom, buyer_terms, seller_terms = _probe_terms(probes, seller, lams)
     if isinstance(buyer, PiecewiseLinearDistribution):
@@ -358,54 +353,52 @@ def _block_reports(instance: TradeInstance, eq: EquilibriumReport, probes: np.nd
             expect(buyer, lambda vs, lam=lam: _quantile_fields(vs, seller, lam)[3:], _decomposition_breakpoints(seller, lam))
             for lam in lams
         ]
-        mean_area_a, mean_u_s_geom = zip(*means)
+        means_area_a, means_u_s_geom = zip(*means)
     else:
         # expect's atom sums, a row per lambda: the probe values are the atoms
-        probs = buyer._probs_arr
-        mean_area_a = [math.fsum(row) for row in (probs * area_a).tolist()]
-        mean_u_s_geom = [math.fsum(row) for row in (probs * u_s_geom).tolist()]
+        means_area_a, means_u_s_geom = _atom_sums(buyer, area_a), _atom_sums(buyer, u_s_geom)
 
     fb, gft, u_buyer, u_seller = eq.fb, eq.gft, eq.u_buyer, eq.u_seller
-    quarter = gft - fb / 4.0
-    logs = [_log_inverse(lam) for lam in lams]
-    # a row of slacks per lambda, in _SLACK_NAMES order, each written as in
-    # BoundReport's docstring with (1 - lambda) * fb computed once
-    rows = [
-        (g + a - k, u_buyer * t - a, u_seller + u_buyer * t - k, u_buyer + u_seller * t - k,
-         gft - k / (1.0 + t), buyer_min, seller_min, quarter)
-        for a, g, t, k, buyer_min, seller_min in zip(
-            mean_area_a, mean_u_s_geom, logs, [(1.0 - lam) * fb for lam in lams],
-            # seeded with inf and taken in probe order, so a NaN term is skipped
-            [min([math.inf] + row) for row in buyer_terms.tolist()],
-            [min([math.inf] + row) for row in seller_terms.tolist()],
-        )
-    ]
-
     tol = SLACK_TOL * max(1.0, abs(fb))
-    # written so that a NaN slack fails too; quarter is a slack at lambda = 1/2 only
-    if not all(
-        abs(r[0]) <= tol and r[1] >= -tol and r[2] >= -tol and r[3] >= -tol and r[4] >= -tol
-        and r[5] >= -tol and r[6] >= -tol and (lam != 0.5 or r[7] >= -tol)
-        for lam, r in zip(lams, rows)
+    reports = []
+    for lam, mean_area_a, mean_u_s_geom, buyer_min, seller_min in zip(
+        lams, means_area_a, means_u_s_geom,
+        # seeded with inf and taken in probe order, so a NaN term is skipped
+        [min([math.inf] + row) for row in buyer_terms.tolist()],
+        [min([math.inf] + row) for row in seller_terms.tolist()],
     ):
-        for lam, row in zip(lams, rows):  # the first failing lambda, and its first failing slack
-            if not abs(row[0]) <= tol:
-                raise InvariantViolation(f"identity slack {row[0]!r} exceeds tolerance {tol!r}")
-            for name, slack in zip(_SLACK_NAMES[1:] if lam == 0.5 else _SLACK_NAMES[1:-1], row[1:]):
-                if not slack >= -tol:
-                    raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
+        log_term = _log_inverse(lam)
+        scaled_fb = (1.0 - lam) * fb
+        slacks = {
+            "identity": mean_u_s_geom + mean_area_a - scaled_fb,
+            "area_log": u_buyer * log_term - mean_area_a,
+            "avg": u_seller + u_buyer * log_term - scaled_fb,
+            "avg_swap": u_buyer + u_seller * log_term - scaled_fb,
+            "gft_floor": gft - scaled_fb / (1.0 + log_term),
+            "buyer_scale_min": buyer_min,
+            "seller_scale_min": seller_min,
+        }
+        if lam == 0.5:
+            slacks["quarter"] = gft - fb / 4.0
 
-    return [
-        BoundReport(
+        # written so that a NaN slack fails too
+        if not abs(slacks["identity"]) <= tol:
+            raise InvariantViolation(
+                f"identity slack {slacks['identity']!r} exceeds tolerance {tol!r}"
+            )
+        for name, slack in slacks.items():
+            if name != "identity" and not slack >= -tol:
+                raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
+
+        reports.append(BoundReport(
             lam=lam,
             fb=fb,
             gft=gft,
             u_buyer=u_buyer,
             u_seller=u_seller,
-            mean_area_A=area,
-            mean_u_S_geom=geom,
-            ratio_bound=(1.0 + t) / (1.0 - lam),
-            slacks=dict(zip(_SLACK_NAMES if lam == 0.5 else _SLACK_NAMES[:-1], row)),
-        )
-        for lam, t, area, geom, row in zip(lams, logs, mean_area_a, mean_u_s_geom, rows)
-    ]
+            mean_area_A=mean_area_a,
+            mean_u_S_geom=mean_u_s_geom,
+            ratio_bound=_ratio_from_log(lam, log_term),
+            slacks=slacks,
+        ))
+    return reports

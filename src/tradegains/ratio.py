@@ -39,7 +39,12 @@ def ratio_bound(lam: float) -> float:
     Diverges at both endpoints, so the domain is the open interval (0, 1).
     """
     lam = _check_lambda(lam)
-    return (1.0 + _log_inverse(lam)) / (1.0 - lam)
+    return _ratio_from_log(lam, _log_inverse(lam))
+
+
+def _ratio_from_log(lam: float, log_term: float) -> float:
+    """:func:`ratio_bound` at a checked ``lambda`` whose ``ln(1/lambda)`` is ``log_term``."""
+    return (1.0 + log_term) / (1.0 - lam)
 
 
 @dataclass(frozen=True)
