@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer argument check, shared across the package."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -23,3 +25,17 @@ class InvariantViolation(RuntimeError):
     The bounds checked by this package hold universally, so a violation
     always signals an implementation defect, never bad input data.
     """
+
+
+def _check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``, or :class:`DomainError` if it is no integer or is below ``minimum``."""
+    # int() would truncate 2.7 to 2 and coerce True to 1
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+    return value

@@ -97,9 +97,11 @@ def decompose_fixed_v(v: float, seller: Distribution, lam: float) -> Decompositi
 
 
 def _decompose(v: np.ndarray, seller: Distribution, lam) -> tuple[np.ndarray, ...]:
-    """Decomposition fields at each value of ``v``, with ``lam`` a float or an array alongside.
+    """The fields of :class:`Decomposition` from ``x_v`` to ``u_B_dev``, elementwise.
 
-    The fields of :class:`Decomposition` from ``x_v`` to ``u_B_dev``.
+    ``v`` and ``lam`` broadcast against each other: a column of lambdas
+    against a row of values gives one row per lambda. ``x_v`` and ``fb_v``,
+    which do not depend on lambda, keep the shape of ``v``.
     """
     x_v, b, fb_v, area_a, u_s_geom = _quantile_fields(v, seller, lam)
     traded = x_v > 0.0
@@ -317,21 +319,6 @@ def sweep_bounds(instance: TradeInstance, lams) -> list[BoundReport]:
 _BLOCK_PAIRS = 2**16
 
 
-def _probe_terms(probes: np.ndarray, seller: Distribution, lams: list[float]) -> tuple[np.ndarray, ...]:
-    """``(area_A, u_S_geom, buyer scaling term, seller scaling term)`` with row ``k`` at ``lams[k]``.
-
-    The full decompositions at the probe values for every lambda, in one
-    flat pass; no bound reads ``u_B_opt``, so no best response is computed.
-    """
-    lam_col = np.repeat(lams, probes.size)
-    _, _, _, area_s, area_b, area_a, u_s_geom, u_b_dev = (
-        f.reshape(len(lams), probes.size)
-        for f in _decompose(np.tile(probes, len(lams)), seller, lam_col)
-    )
-    lam_row = lam_col.reshape(len(lams), probes.size)
-    return area_a, u_s_geom, u_b_dev - lam_row * area_b, u_s_geom - (1.0 - lam_row) * area_s
-
-
 def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams: list[float]) -> list[BoundReport]:
     """One :class:`BoundReport` per lambda of the checked list ``lams``."""
     # the probe values include every atom of a discrete buyer
@@ -346,7 +333,10 @@ def _bound_report(instance: TradeInstance, eq: EquilibriumReport, lams: list[flo
 def _block_reports(instance: TradeInstance, eq: EquilibriumReport, probes: np.ndarray, lams: list[float]) -> list[BoundReport]:
     """:func:`_bound_report` on one block of lambdas, whose means and scale minima are taken over the whole block."""
     buyer, seller = instance.buyer, instance.seller
-    area_a, u_s_geom, buyer_terms, seller_terms = _probe_terms(probes, seller, lams)
+    # the full decompositions at the probe values, a row per lambda; no bound
+    # reads u_B_opt, so no best response is computed
+    lam_col = np.asarray(lams)[:, None]
+    _, _, _, area_s, area_b, area_a, u_s_geom, u_b_dev = _decompose(probes, seller, lam_col)
     if isinstance(buyer, PiecewiseLinearDistribution):
         # the quadrature's breakpoints depend on lambda, so one expect per lambda
         means = [
@@ -364,8 +354,8 @@ def _block_reports(instance: TradeInstance, eq: EquilibriumReport, probes: np.nd
     for lam, mean_area_a, mean_u_s_geom, buyer_min, seller_min in zip(
         lams, means_area_a, means_u_s_geom,
         # seeded with inf and taken in probe order, so a NaN term is skipped
-        [min([math.inf] + row) for row in buyer_terms.tolist()],
-        [min([math.inf] + row) for row in seller_terms.tolist()],
+        [min([math.inf] + row) for row in (u_b_dev - lam_col * area_b).tolist()],
+        [min([math.inf] + row) for row in (u_s_geom - (1.0 - lam_col) * area_s).tolist()],
     ):
         log_term = _log_inverse(lam)
         scaled_fb = (1.0 - lam) * fb

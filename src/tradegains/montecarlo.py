@@ -17,14 +17,13 @@ mechanism's outcome are read off them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution
-from .errors import DomainError
+from .errors import _check_integer
 from .mechanism import TradeInstance, buyer_best_response_many, role_swap
 # unused here, kept importable: the benchmark's traced runs wrap these names
 from .mechanism import buyer_best_response, seller_best_response  # noqa: F401
@@ -98,19 +97,6 @@ def _estimate(samples: np.ndarray, seed: int) -> SimEstimate:
     else:
         stderr = 0.0
     return SimEstimate(mean=mean, stderr=stderr, trials=n, seed=seed)
-
-
-def _check_trials(trials: int) -> int:
-    # int() would truncate 2.7 to 2 trials and coerce True to 1
-    if isinstance(trials, bool):
-        raise DomainError(f"trials must be an integer, got {trials!r}")
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise DomainError(f"trials must be an integer, got {trials!r}") from None
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    return trials
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +176,7 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
     and looked up by the sampled atom; otherwise each sample's price is
     chosen among the opponent's envelope entries around it.
     """
-    trials = _check_trials(trials)
+    trials, seed = _check_integer("trials", trials, 1), _check_integer("seed", seed)
     price_b, price_s = _proposer_prices(instance)
 
     # each chunk writes its slice of fb and gft and appends its proposers'

@@ -8,6 +8,7 @@ evaluation above it aborts the search as an implementation bug.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, _check_integer
 from .mechanism import TradeInstance, equilibrium, trade_instance_to_json
 from .ratio import default_optimum, guarantee_check
 
@@ -56,18 +57,17 @@ class SearchResult:
         }
 
 
-def _validate_config(cfg: SearchConfig) -> None:
-    if cfg.atoms_per_side < 1:
-        raise DomainError(f"atoms_per_side must be >= 1, got {cfg.atoms_per_side!r}")
-    if cfg.iterations < 1:
-        raise DomainError(f"iterations must be >= 1, got {cfg.iterations!r}")
-    if cfg.restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {cfg.restarts!r}")
+def _validate_config(cfg: SearchConfig) -> SearchConfig:
+    """``cfg`` with its counts and seed as ``int``; :class:`DomainError` on a bad field."""
+    counts = {name: _check_integer(name, getattr(cfg, name), 1) for name in ("atoms_per_side", "iterations", "restarts")}
     lo, hi = cfg.value_range
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"value_range must be a finite interval, got {cfg.value_range!r}")
-    if not cfg.step_scale > 0.0:
-        raise DomainError(f"step_scale must be positive, got {cfg.step_scale!r}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the width hi - lo of value_range {cfg.value_range!r} overflows a float")
+    if not 0.0 < cfg.step_scale < math.inf:
+        raise DomainError(f"step_scale must be finite and positive, got {cfg.step_scale!r}")
+    return dataclasses.replace(cfg, **counts, seed=_check_integer("seed", cfg.seed))
 
 
 def _restart_rng(seed: int, restart: int) -> np.random.Generator:
@@ -122,7 +122,7 @@ def worst_case_search(
     instances on independent substreams. Instances with ``fb = 0`` score
     ratio 1 so vacuous no-trade instances never dominate.
     """
-    _validate_config(cfg)
+    cfg = _validate_config(cfg)
     ceiling = default_optimum().ratio_star + 1e-6
     evaluations = 0
 

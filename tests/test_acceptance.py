@@ -29,9 +29,17 @@ from tradegains import (
     worst_case_search,
 )
 
+from tradegains.geometry import _decompose
+
 from conftest import LAMBDA_GRID, random_discrete_instance
 
 CORPUS_SIZE = 1000
+#: The scaling parameters as a column, against which a row of values broadcasts.
+LAM_COL = np.asarray(LAMBDA_GRID)[:, None]
+#: ``_decompose``'s fields, named as in ``Decomposition``.
+GRID_FIELDS = ("x_v", "b_lambda", "fb_v", "area_S", "area_B", "area_A", "u_S_geom", "u_B_dev")
+#: Share of each lambda x value grid that is checked against ``decompose_fixed_v``.
+SCALAR_SAMPLE = 0.05
 RATIO_STAR = optimize_lambda(1e-12).ratio_star
 
 UU = TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1))
@@ -58,7 +66,10 @@ def corpus_full():
 
 @pytest.fixture(scope="module")
 def suite_results(corpus_full):
-    """One sweep over the corpus collecting every per-instance check."""
+    """One sweep over the corpus collecting every per-instance check.
+
+    Each instance is decomposed once, over all of ``LAMBDA_GRID`` at once.
+    """
     bad = {
         "identity": [],
         "inequality": [],
@@ -68,17 +79,40 @@ def suite_results(corpus_full):
     }
     log_terms = {lam: math.log(1.0 / lam) for lam in LAMBDA_GRID}
 
-    def check_fixed_v(d, lam, seller, label):
-        if abs(d.area_S + d.area_B - d.fb_v) > 1e-9:
-            bad["identity"].append((label, lam, d.v, "S+B"))
-        if abs(d.u_S_geom + d.area_A - (1.0 - lam) * d.fb_v) > 1e-9 * max(1.0, d.fb_v):
-            bad["identity"].append((label, lam, d.v, "uS+A"))
-        if d.u_S_geom < (1.0 - lam) * d.area_S - 1e-9:
-            bad["inequality"].append((label, lam, d.v, "u_S_geom"))
-        if d.u_B_dev < lam * d.area_B - 1e-9:
-            bad["inequality"].append((label, lam, d.v, "u_B_dev"))
-        if seller_scaling_utility(d.v, seller, lam) < d.u_S_geom - 1e-9:
-            bad["inequality"].append((label, lam, d.v, "scaling"))
+    def check_grid(label, probes, seller, seed):
+        """Every fixed-v identity and inequality over the lambda x value grid; returns ``area_A``.
+
+        The grid is one broadcast decomposition, with a row per lambda. A
+        seeded sample of its points is then checked, field by field and bit
+        for bit, against the public ``decompose_fixed_v``.
+        """
+        grid = dict(zip(GRID_FIELDS, _decompose(np.asarray(probes), seller, LAM_COL)))
+        fb_v, area_s, area_b = grid["fb_v"], grid["area_S"], grid["area_B"]
+        area_a, u_s_geom, u_b_dev = grid["area_A"], grid["u_S_geom"], grid["u_B_dev"]
+        scaling = np.array([[seller_scaling_utility(v, seller, lam) for v in probes] for lam in LAMBDA_GRID])
+        checks = (
+            ("identity", "S+B", abs(area_s + area_b - fb_v) > 1e-9),
+            ("identity", "uS+A", abs(u_s_geom + area_a - (1.0 - LAM_COL) * fb_v) > 1e-9 * np.maximum(1.0, fb_v)),
+            ("inequality", "u_S_geom", u_s_geom < (1.0 - LAM_COL) * area_s - 1e-9),
+            ("inequality", "u_B_dev", u_b_dev < LAM_COL * area_b - 1e-9),
+            ("inequality", "scaling", scaling < u_s_geom - 1e-9),
+        )
+        # lambda by lambda, value by value, check by check
+        for i, j in zip(*np.nonzero(np.logical_or.reduce([failed for *_, failed in checks]))):
+            for kind, tag, failed in checks:
+                if failed[i, j]:
+                    bad[kind].append((label, LAMBDA_GRID[i], probes[j], tag))
+
+        size = len(LAMBDA_GRID) * len(probes)
+        sample = np.random.default_rng(seed).choice(size, max(1, round(SCALAR_SAMPLE * size)), replace=False)
+        for i, j in zip(*np.unravel_index(sample, (len(LAMBDA_GRID), len(probes)))):
+            d = decompose_fixed_v(probes[j], seller, LAMBDA_GRID[i])
+            for name, field in grid.items():
+                # x_v and fb_v do not depend on lambda: one row
+                at = field[i, j] if field.ndim == 2 else field[j]
+                if float.hex(getattr(d, name)) != float.hex(float(at)):
+                    bad["identity"].append((label, LAMBDA_GRID[i], probes[j], f"scalar {name}"))
+        return area_a
 
     def check_aggregates(label, lam, fb, u_b, u_s, mean_a, eq_swap):
         log_term = log_terms[lam]
@@ -118,12 +152,9 @@ def suite_results(corpus_full):
         eq = equilibrium(instance)
         eq_swap = equilibrium(role_swap(instance))
         bvals, bprobs = instance.buyer.values, instance.buyer.probs
-        for lam in LAMBDA_GRID:
-            decs = [decompose_fixed_v(v, seller, lam) for v in bvals]
-            for d in decs:
-                check_fixed_v(d, lam, seller, idx)
-            mean_a = math.fsum(p * d.area_A for p, d in zip(bprobs, decs))
-            check_aggregates(idx, lam, eq.fb, eq.u_buyer, eq.u_seller, mean_a, eq_swap)
+        area_a = check_grid(idx, bvals, seller, 20_000 + idx)
+        for lam, row in zip(LAMBDA_GRID, (np.asarray(bprobs) * area_a).tolist()):
+            check_aggregates(idx, lam, eq.fb, eq.u_buyer, eq.u_seller, math.fsum(row), eq_swap)
         check_lemma(idx, idx, bvals, seller)
         check_instance_level(idx, eq, eq_swap)
 
@@ -135,9 +166,8 @@ def suite_results(corpus_full):
             probes = _pwl_probe_values(instance.buyer)
         else:
             probes = list(instance.buyer.values)
+        check_grid(label, probes, seller, 25_555 if label == "UxU" else 25_556)
         for lam in LAMBDA_GRID:
-            for v in probes:
-                check_fixed_v(decompose_fixed_v(v, seller, lam), lam, seller, label)
             report = verify_bounds(instance, lam)  # raises on any violation
             check_aggregates(
                 label, lam, report.fb, report.u_buyer, report.u_seller,

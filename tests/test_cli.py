@@ -160,6 +160,20 @@ def test_search_command(capsys):
     assert "buyer" in payload["best_instance"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--step-scale", "inf"], "step_scale must be finite and positive, got inf"),
+        (["--lo=-1.7e308", "--hi=1.7e308"], "the width hi - lo of value_range (-1.7e+308, 1.7e+308) overflows a float"),
+    ],
+)
+def test_search_unbounded_step_or_range_exits_one_with_one_line(capsys, flags, message):
+    assert cli.run(["search", "--atoms", "2", "--iters", "2", "--restarts", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sweep_json_and_csv_agree(capsys, uu_path):
     code = cli.run(["sweep", "--instance", uu_path, "--lambda-grid", "0.1:0.9:9"])
     assert code == 0

@@ -1,6 +1,7 @@
 """The drift tool's number matching and output comparison, on short strings."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,12 +54,22 @@ def test_a_moved_number_reports_its_move_relative_to_max_one_and_the_base():
     assert drift.compare("x -4e2", "x -4.04e2") == (True, pytest.approx(0.01))
 
 
-def test_each_seed_ends_with_long_grid_sweeps_on_existing_instances(tmp_path):
+def test_each_seed_ends_with_long_grid_and_other_calls_on_existing_instances(tmp_path):
     calls = drift.build_calls([1], tmp_path)
-    long_grid = [argv for name, argv in calls if name == "long-grid"]
-    assert [name for name, _ in calls[-4:]] == ["long-grid"] * 4 and len(long_grid) == 4
-    for argv in long_grid:
-        assert argv[:2] + argv[3:6] == ["sweep", "--instance", "--lambda-grid", drift.LONG_GRID, "--format"]
-        assert Path(argv[2]).is_file()
-    assert {Path(argv[2]).name for argv in long_grid} == {"d256.json", "pd320.json"}
-    assert {argv[-1] for argv in long_grid} == {"json", "csv"}
+    assert calls[-1] == ("other", ["lambda-opt"])
+    assert sum(argv[0] == "lambda-opt" for _, argv in calls) == 1
+    tail = calls[-11:-1]
+    assert [name for name, _ in tail] == (["long-grid"] * 2 + ["other"] * 3) * 2
+    assert [Path(argv[2]).name for _, argv in tail] == ["d256.json"] * 5 + ["pd320.json"] * 5
+    for k in (0, 5):
+        (_, json_sweep), (_, csv_sweep), (_, fb), (_, aggregate), (_, fixed_v) = tail[k : k + 5]
+        path = fb[2]
+        assert Path(path).is_file()
+        assert json_sweep == ["sweep", "--instance", path, "--lambda-grid", drift.LONG_GRID, "--format", "json"]
+        assert csv_sweep == json_sweep[:-1] + ["csv"]
+        assert fb == ["fb", "--instance", path]
+        assert aggregate == ["decompose", "--instance", path, "--lambda", drift.DECOMPOSE_LAMBDA]
+        # the fixed-v call conditions on a value of one of the buyer's atoms or knots
+        assert fixed_v[:-1] == aggregate + ["--v"]
+        buyer = json.loads(Path(path).read_text())["buyer"]
+        assert float(fixed_v[-1]) in [entry["value"] for entry in buyer.get("atoms") or buyer["knots"]]

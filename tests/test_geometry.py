@@ -29,7 +29,7 @@ from tradegains import (
     verify_bounds,
 )
 
-from conftest import LAMBDA_GRID, random_discrete_instance
+from conftest import LAMBDA_GRID, budget, random_discrete, random_discrete_instance, random_pwl
 
 U01 = uniform(0, 1)
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
@@ -282,6 +282,32 @@ def test_aggregate_decomposition_declares_no_breakpoints_for_a_discrete_buyer(mo
     assert aggregate_decomposition(instance, 0.31784) == want
 
 
+def test_aggregate_decomposition_agrees_with_eq_and_verify():
+    # seeded pwl buyers of 2-11 knots against pwl and discrete sellers: the
+    # aggregate's expect also splits at the buyer's response breakpoints, so
+    # its fb, u_B_opt, area_A and u_S_geom may move in the last bit from eq's
+    # fb and u_buyer and verify's means, but by no more than roundoff
+    rng = np.random.default_rng(1818)
+    instances = [
+        TradeInstance(
+            buyer=random_pwl(rng, int(rng.integers(2, 12))),
+            seller=random_pwl(rng, int(rng.integers(2, 12))) if i % 2 else random_discrete(rng),
+        )
+        for i in range(48)
+    ]
+    with budget(0.5):
+        for instance in instances:
+            for report in sweep_bounds(instance, (0.31784, 0.5)):
+                agg = aggregate_decomposition(instance, report.lam)
+                for got, want in (
+                    (agg.fb, report.fb),
+                    (agg.u_B_opt, report.u_buyer),
+                    (agg.area_A, report.mean_area_A),
+                    (agg.u_S_geom, report.mean_u_S_geom),
+                ):
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
 def test_verify_bounds_uniform_uniform_optimal_lambda():
     lam = 0.31784
     report = verify_bounds(UU, lam)
@@ -357,7 +383,8 @@ def test_verify_bounds_integrates_cdf_only_at_probe_values(monkeypatch, seller):
     original = type(seller)._integrate_cdf_to_many
 
     def spy(self, p):
-        calls.extend(np.atleast_1d(p).tolist())
+        # the deviation prices come as a row per lambda
+        calls.extend(np.ravel(p).tolist())
         return original(self, p)
 
     monkeypatch.setattr(type(seller), "_integrate_cdf_to_many", spy)
@@ -385,7 +412,8 @@ def test_sweep_bounds_decomposes_a_bounded_block_at_a_time(monkeypatch):
     original = geometry._decompose
 
     def spy(v, dist, lam):
-        sizes.append(v.size)
+        # the pairs of the broadcast lambda x value grid
+        sizes.append(np.broadcast(v, lam).size)
         return original(v, dist, lam)
 
     monkeypatch.setattr(geometry, "_decompose", spy)

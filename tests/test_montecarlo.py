@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -233,6 +234,19 @@ def test_trials_domain():
         with pytest.raises(DomainError, match="trials must be an integer"):
             simulate_mechanism(UU, trials, 0)
     assert simulate_mechanism(UU, np.int64(3), 0) == simulate_mechanism(UU, 3, 0)
+    with pytest.raises(DomainError, match=r"^trials must be >= 1, got 0$"):
+        simulate_mechanism(UU, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(DomainError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        simulate_mechanism(UU, 3, seed)
+
+
+def test_seed_takes_numpy_integers_as_their_ints():
+    report = simulate_mechanism(UU, 3, np.int64(-4))
+    assert report == simulate_mechanism(UU, 3, -4) and type(report.seed) is int
 
 
 def _strict_json(text):

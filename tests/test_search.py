@@ -1,5 +1,9 @@
 """Worst-case instance search: determinism, traces, proven ceiling."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -89,16 +93,51 @@ def test_search_vacuous_instances_score_one():
 
 
 def test_search_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^atoms_per_side must be >= 1, got 0$"):
         worst_case_search(SearchConfig(atoms_per_side=0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^iterations must be >= 1, got 0$"):
         worst_case_search(SearchConfig(iterations=0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^restarts must be >= 1, got 0$"):
         worst_case_search(SearchConfig(restarts=0))
     with pytest.raises(DomainError):
         worst_case_search(SearchConfig(value_range=(1.0, 0.0)))
     with pytest.raises(DomainError):
         worst_case_search(SearchConfig(step_scale=0.0))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("step_scale", math.inf, "step_scale must be finite and positive, got inf"),
+        ("step_scale", math.nan, "step_scale must be finite and positive, got nan"),
+        ("step_scale", -0.1, "step_scale must be finite and positive, got -0.1"),
+        # each bound is finite, but hi - lo overflows
+        ("value_range", (-1.7e308, 1.7e308), "the width hi - lo of value_range (-1.7e+308, 1.7e+308) overflows a float"),
+        ("value_range", (0.0, math.inf), "value_range must be a finite interval, got (0.0, inf)"),
+        ("value_range", (math.nan, 1.0), "value_range must be a finite interval, got (nan, 1.0)"),
+    ],
+)
+def test_search_refuses_an_unbounded_step_or_range(field, value, message):
+    cfg = dataclasses.replace(SearchConfig(atoms_per_side=2, iterations=2, restarts=1), **{field: value})
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        worst_case_search(cfg)
+
+
+@pytest.mark.parametrize("field", ["atoms_per_side", "iterations", "restarts", "seed"])
+@pytest.mark.parametrize("value", [True, 2.0, 1.5, "2", None])
+def test_search_counts_and_seed_must_be_integers(field, value):
+    # not coerced: True would run one iteration, 2.0 two atoms per side
+    cfg = dataclasses.replace(SearchConfig(atoms_per_side=2, iterations=2, restarts=1), **{field: value})
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        worst_case_search(cfg)
+
+
+def test_search_takes_numpy_integers_as_their_ints():
+    ints = SearchConfig(atoms_per_side=3, iterations=4, restarts=2, seed=-7)
+    numpy_ints = SearchConfig(
+        atoms_per_side=np.int64(3), iterations=np.int32(4), restarts=np.uint8(2), seed=np.int64(-7)
+    )
+    assert worst_case_search(numpy_ints) == worst_case_search(ints)
 
 
 def test_search_guarantees_hold_on_evaluated_instances():

@@ -5,13 +5,16 @@
 For each seed it builds every workload's instance files with the builders
 of ``perfbench/workloads.py`` (from this checkout, into a temporary
 directory) and lists the CLI calls of one round of each: 1,402 per seed.
-Four ``long-grid`` calls per seed follow: ``sweep`` over a 1,000-lambda
-grid, as JSON and as CSV, on discrete-large's 256-atom ``d256`` and on
-pwl-exact's 32-knot ``pd320``. Their grids cross the block boundaries of
-``geometry._bound_report``, which no workload's 19-lambda grid reaches.
-The base and this checkout then run all of them, in order, each in one
-process of its own that imports ``tradegains`` from the checkout's
-``src/``. Nothing under ``perfbench/`` is written.
+Ten more per seed follow, on discrete-large's 256-atom ``d256`` and on
+pwl-exact's 32-knot ``pd320``. Four are ``long-grid`` calls: ``sweep`` over
+a 1,000-lambda grid, as JSON and as CSV, which crosses the block
+boundaries of ``geometry._bound_report`` that no workload's 19-lambda grid
+reaches. Six, under ``other``, run the commands no workload runs: ``fb``,
+``decompose`` over the buyer prior, and ``decompose`` at the buyer value of
+the middle atom or knot in the file. ``lambda-opt`` runs once, last: 2,825
+calls for seeds 1 and 5. The base and this checkout then run all of them,
+in order, each in one process of its own that imports ``tradegains`` from
+the checkout's ``src/``. Nothing under ``perfbench/`` is written.
 
 It prints, per workload, in total and then per workload and command: the
 calls, the exit-code mismatches, the byte-identical outputs, the outputs
@@ -38,13 +41,22 @@ ROOT = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
-#: The long-grid sweeps: their grid, and the (workload, instance) files they run on.
+#: The long-grid sweeps' grid; they and the other calls run on these (workload, instance) files.
 LONG_GRID = "0.001:0.999:1000"
 LONG_GRID_INSTANCES = (("discrete-large", "d256"), ("pwl-exact", "pd320"))
+#: The scaling parameter of the ``decompose`` calls, the optimal one.
+DECOMPOSE_LAMBDA = "0.31784"
+
+
+def _middle_buyer_value(path: str) -> str:
+    """The value of the middle atom or knot of the instance file's buyer, as its repr."""
+    buyer = json.loads(Path(path).read_text())["buyer"]
+    entries = buyer.get("atoms") or buyer["knots"]
+    return repr(entries[len(entries) // 2]["value"])
 
 
 def build_calls(seeds: list[int], directory: Path) -> list[tuple[str, list[str]]]:
-    """``(workload, argv)`` of every call of one round of each workload, then the long-grid sweeps, seed by seed."""
+    """``(group, argv)`` of every call: per seed, one round of each workload, then the long-grid and other calls; then ``lambda-opt``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
@@ -57,6 +69,13 @@ def build_calls(seeds: list[int], directory: Path) -> list[tuple[str, list[str]]
             path = str(directory / f"{name}-{seed}" / f"{key}.json")
             for fmt in ("json", "csv"):
                 calls.append(("long-grid", ["sweep", "--instance", path, "--lambda-grid", LONG_GRID, "--format", fmt]))
+            decompose = ["decompose", "--instance", path, "--lambda", DECOMPOSE_LAMBDA]
+            calls += [
+                ("other", ["fb", "--instance", path]),
+                ("other", decompose),
+                ("other", decompose + ["--v", _middle_buyer_value(path)]),
+            ]
+    calls.append(("other", ["lambda-opt"]))
     return calls
 
 
