@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -795,10 +796,29 @@ def _piece(c: tuple, a: float, b: float) -> tuple[bool, float, float]:
 # construction sugar
 
 
+def _real_float(value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a real number (``float`` also takes strings and bools)."""
+    kind = type(value)
+    if kind is float or kind is int or (kind is not bool and isinstance(value, numbers.Real)):
+        return float(value)
+    raise ValueError(value)
+
+
+def _real_pair(entry) -> tuple[float, float]:
+    """An atom or knot as two floats; ``ValueError`` unless it is exactly two real numbers."""
+    if type(entry) in (list, tuple) and len(entry) == 2:
+        a, b = entry
+        if type(a) is float and type(b) is float:  # most pairs, on the fast path
+            return a, b
+    if isinstance(entry, (bytes, bytearray)) or len(entry) != 2:  # the items of bytes are ints
+        raise ValueError(entry)
+    return _real_float(entry[0]), _real_float(entry[1])
+
+
 def _number(name: str, value) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return _real_float(value)
+    except (ValueError, OverflowError):
         raise ValidationError([f"{name} must be a number, got {value!r}"]) from None
 
 
@@ -838,8 +858,8 @@ def _normalize_atoms(atoms) -> tuple[list[str], tuple | None]:
     pairs: list[tuple[float, float]] = []
     for i, atom in enumerate(atoms):
         try:
-            v, p = float(atom[0]), float(atom[1])
-        except (TypeError, ValueError, IndexError, KeyError):
+            v, p = _real_pair(atom)
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError):
             problems.append(f"atom {i}: expected a (value, prob) pair, got {atom!r}")
             continue
         if not math.isfinite(v):
@@ -879,6 +899,8 @@ def _normalize_atoms(atoms) -> tuple[list[str], tuple | None]:
     # the cumulative top is pinned to exactly 1 when cum is built
     values = tuple(v for v, _ in merged)
     probs = tuple(p for _, p in merged)
+    if not math.isfinite(values[-1] - values[0]):
+        return [_span_overflows(values[0], values[-1])], None
     return [], (values, probs)
 
 
@@ -887,8 +909,8 @@ def _normalize_knots(knots) -> tuple[list[str], tuple | None]:
     pairs: list[tuple[float, float]] = []
     for i, knot in enumerate(knots):
         try:
-            q, v = float(knot[0]), float(knot[1])
-        except (TypeError, ValueError, IndexError, KeyError):
+            q, v = _real_pair(knot)
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError):
             problems.append(f"knot {i}: expected a (q, value) pair, got {knot!r}")
             continue
         if not math.isfinite(q) or not math.isfinite(v):
@@ -915,7 +937,14 @@ def _normalize_knots(knots) -> tuple[list[str], tuple | None]:
             problems.append(f"knot {i}: quantile not monotone ({vals[i]!r} < {vals[i - 1]!r})")
     if problems:
         return problems, None
+    if not math.isfinite(vals[-1] - vals[0]):
+        return [_span_overflows(vals[0], vals[-1])], None
     return [], (tuple(qs), tuple(vals))
+
+
+def _span_overflows(lo: float, hi: float) -> str:
+    """The problem of a prior whose value span ``hi - lo`` is not a finite float, as :class:`TradeInstance` words it."""
+    return f"the value span {lo!r} .. {hi!r} of the prior overflows a float"
 
 
 def validate(data) -> ValidationReport:

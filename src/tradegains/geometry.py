@@ -40,12 +40,14 @@ from .errors import DomainError, InvariantViolation
 from .mechanism import (
     EquilibriumReport,
     TradeInstance,
+    _buyer_proposer_side,
     _check_value,
     buyer_best_response,
-    buyer_best_response_many,
-    buyer_response_breakpoints,
     equilibrium,
+    first_best,
 )
+# unused here, kept importable: the benchmark's traced runs wrap this name
+from .mechanism import buyer_response_breakpoints  # noqa: F401
 from .ratio import _check_lambda, _log_inverse, _ratio_from_log
 
 #: Slack tolerance for the proven identities/inequalities, relative to
@@ -235,19 +237,15 @@ class AggregateDecomposition:
 
 
 def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDecomposition:
-    """Expectation of every decomposition field over the buyer prior."""
+    """Expectation of every decomposition field over the buyer prior, by the integrals ``eq`` and ``verify`` run."""
     lam = _check_lambda(lam)
     buyer, seller = instance.buyer, instance.seller
-
-    def record(vs: np.ndarray) -> tuple[np.ndarray, ...]:
-        _, _, *fields = _decompose(vs, seller, lam)
-        return (*fields, buyer_best_response_many(vs, seller)[1])
-
     breaks: list[float] = []
     if isinstance(buyer, PiecewiseLinearDistribution):  # expect ignores them otherwise
-        breaks = _decomposition_breakpoints(seller, lam) + buyer_response_breakpoints(seller)
-    # the record's fields follow AggregateDecomposition's after lam
-    return AggregateDecomposition(lam, *expect(buyer, record, breaks))
+        breaks = _decomposition_breakpoints(seller, lam)
+    # the fields from area_S to u_B_dev, in AggregateDecomposition's order
+    areas = expect(buyer, lambda vs: _decompose(vs, seller, lam)[3:], breaks)
+    return AggregateDecomposition(lam, first_best(instance), *areas, _buyer_proposer_side(buyer, seller)[0])
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,9 @@ NON_NUMBER_SUGAR = (
     {"kind": "uniform", "lo": "abc", "hi": 1},
     {"kind": "uniform", "lo": [1], "hi": 1},
     {"kind": "point", "value": None},
+    # float() takes a numeric string and a bool, but neither is a number
+    {"kind": "uniform", "lo": "0", "hi": 1},
+    {"kind": "point", "value": True},
 )
 
 

@@ -299,6 +299,16 @@ def test_non_number_sugar_exits_one(capsys, tmp_path, buyer):
     assert captured.err.startswith("error:")
 
 
+def test_a_buyer_prior_whose_own_span_overflows_exits_one_with_one_line(capsys, tmp_path):
+    # refused as a prior, before the two priors' span is checked
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"buyer": {"kind": "uniform", "lo": -1e308, "hi": 1e308}, "seller": UU_JSON["seller"]}))
+    assert cli.run(["eq", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: buyer: the value span -1e+308 .. 1e+308 of the prior overflows a float\n"
+
+
 def test_non_utf8_file_exits_one(capsys, tmp_path):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe{}")

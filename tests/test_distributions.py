@@ -857,6 +857,103 @@ def test_json_sugar_rejects_non_numbers(obj):
         distribution_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, problems",
+    [
+        # a string is indexed character by character, a bool and a numeric string convert
+        ({"kind": "discrete", "atoms": ["01"]}, ["atom 0: expected a (value, prob) pair, got '01'"]),
+        (
+            {"kind": "pwl", "knots": ["00", "11"]},
+            ["knot 0: expected a (q, value) pair, got '00'", "knot 1: expected a (q, value) pair, got '11'"],
+        ),
+        ({"kind": "discrete", "atoms": [[0.5, 1.0, 7]]}, ["atom 0: expected a (value, prob) pair, got [0.5, 1.0, 7]"]),
+        ({"kind": "discrete", "atoms": [[True, 1.0]]}, ["atom 0: expected a (value, prob) pair, got [True, 1.0]"]),
+        ({"kind": "discrete", "atoms": [[0.5, True]]}, ["atom 0: expected a (value, prob) pair, got [0.5, True]"]),
+        ({"kind": "discrete", "atoms": [["0.5", 1.0]]}, ["atom 0: expected a (value, prob) pair, got ['0.5', 1.0]"]),
+        (
+            {"kind": "discrete", "atoms": [{"value": "0.5", "prob": 1}]},
+            ["atom 0: expected a (value, prob) pair, got ('0.5', 1)"],
+        ),
+        (
+            {"kind": "pwl", "knots": [[0, 0], {"q": 1, "value": "1"}]},
+            ["knot 1: expected a (q, value) pair, got (1, '1')"],
+        ),
+        ({"kind": "uniform", "lo": "0", "hi": 1}, ["uniform lo must be a number, got '0'"]),
+        ({"kind": "uniform", "lo": 0, "hi": False}, ["uniform hi must be a number, got False"]),
+        ({"kind": "point", "value": True}, ["point value must be a number, got True"]),
+        ({"kind": "point", "value": "2"}, ["point value must be a number, got '2'"]),
+        # too large for a float: refused rather than an OverflowError
+        ({"kind": "discrete", "atoms": [[10**400, 1.0]]}, [f"atom 0: expected a (value, prob) pair, got {[10**400, 1.0]!r}"]),
+        ({"kind": "point", "value": 10**400}, [f"point value must be a number, got {10**400!r}"]),
+    ],
+    ids=[
+        "atom-string", "knot-strings", "atom-triple", "atom-bool-value", "atom-bool-prob", "atom-numeric-string",
+        "atom-object-string", "knot-object-string", "uniform-string", "uniform-bool", "point-bool", "point-string",
+        "atom-huge-int", "point-huge-int",
+    ],
+)
+def test_json_entries_must_be_real_numbers(obj, problems):
+    with pytest.raises(ValidationError) as err:
+        distribution_from_json(obj)
+    assert list(err.value.problems) == problems
+    # a JSON file carries the same entries
+    with pytest.raises(ValidationError) as err:
+        distribution_from_json(json.loads(json.dumps(obj)))
+    assert list(err.value.problems) == problems
+
+
+def test_atoms_and_knots_refuse_bytes():
+    # the items of bytes are ints, so b"01" would read as the pair (48, 49)
+    with pytest.raises(ValidationError, match=r"expected a \(value, prob\) pair, got b'01'"):
+        DiscreteDistribution.from_atoms([b"01"])
+    with pytest.raises(ValidationError, match=r"expected a \(q, value\) pair, got bytearray"):
+        PiecewiseLinearDistribution.from_knots([bytearray(b"00"), (1.0, 1.0)])
+
+
+def test_atoms_and_knots_take_python_and_numpy_numbers():
+    want = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+    for atoms in (
+        [(0, Fraction(1, 2)), (1, 0.5)],
+        [(np.float64(0.0), np.float32(0.5)), (np.int64(1), Fraction(1, 2))],
+        np.asarray([[0.0, 0.5], [1.0, 0.5]]),
+        [np.asarray([0.0, 0.5]), [1.0, 0.5]],
+    ):
+        assert DiscreteDistribution.from_atoms(atoms) == want
+    knots = [(np.int8(0), Fraction(0)), (np.float16(1.0), 2)]
+    assert PiecewiseLinearDistribution.from_knots(knots) == uniform(0.0, 2.0)
+    assert uniform(np.float64(0.0), Fraction(2)) == uniform(0, 2) == uniform(0.0, 2.0)
+    assert point(np.int64(3)) == point(3) == point(3.0)
+
+
+OVERFLOWING_SPAN = "the value span -1e+308 .. 1e+308 of the prior overflows a float"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiscreteDistribution.from_atoms([(-1e308, 0.5), (1e308, 0.5)]),
+        lambda: PiecewiseLinearDistribution.from_knots([(0.0, -1e308), (0.5, 0.0), (1.0, 1e308)]),
+        lambda: uniform(-1e308, 1e308),
+        lambda: distribution_from_json({"kind": "discrete", "atoms": [[1e308, 0.25], [-1e308, 0.75]]}),
+        lambda: distribution_from_json({"kind": "uniform", "lo": -1e308, "hi": 1e308}),
+    ],
+    ids=["from_atoms", "from_knots", "uniform", "json-atoms", "json-uniform"],
+)
+def test_a_prior_whose_value_span_overflows_is_refused(build):
+    # its cdf, quantile and integrals would divide or subtract across the span
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.problems == (OVERFLOWING_SPAN,)
+
+
+def test_a_prior_spanning_most_of_the_float_range_is_kept():
+    top = 1.7e308
+    d = uniform(-top / 2, top / 2)
+    assert d.cdf(0.0) == 0.5 and d.quantile(0.5) == 0.0
+    coin = DiscreteDistribution.from_atoms([(-top / 2, 0.5), (top / 2, 0.5)])
+    assert coin.integrate_cdf(-top / 2, top / 2) == top / 2
+
+
 @given(dists)
 @settings(max_examples=100, deadline=None)
 def test_json_round_trip(d):

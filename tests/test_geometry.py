@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tradegains.geometry as geometry
+import tradegains.mechanism as mechanism
 from tradegains import (
     DiscreteDistribution,
     DomainError,
@@ -266,11 +267,11 @@ def test_aggregate_decomposition_identity():
             agg = aggregate_decomposition(instance, lam)
             assert agg.area_S + agg.area_B == pytest.approx(agg.fb, abs=1e-12)
             assert agg.u_S_geom + agg.area_A == pytest.approx((1 - lam) * agg.fb, abs=1e-12)
-            assert agg.fb == pytest.approx(equilibrium(instance).fb, abs=1e-12)
 
 
 def test_aggregate_decomposition_declares_no_breakpoints_for_a_discrete_buyer(monkeypatch):
-    # expect sums a discrete buyer's atoms and ignores breakpoints, so none are built
+    # expect sums a discrete buyer's atoms and ignores breakpoints, so none are
+    # built, neither by the aggregate nor by the buyer-proposer side it reuses
     instance = random_discrete_instance(7)
     want = aggregate_decomposition(instance, 0.31784)
 
@@ -279,16 +280,17 @@ def test_aggregate_decomposition_declares_no_breakpoints_for_a_discrete_buyer(mo
 
     monkeypatch.setattr(geometry, "_decomposition_breakpoints", refuse)
     monkeypatch.setattr(geometry, "buyer_response_breakpoints", refuse)
+    monkeypatch.setattr(mechanism, "buyer_response_breakpoints", refuse)
     assert aggregate_decomposition(instance, 0.31784) == want
 
 
 def test_aggregate_decomposition_agrees_with_eq_and_verify():
-    # seeded pwl buyers of 2-11 knots against pwl and discrete sellers: the
-    # aggregate's expect also splits at the buyer's response breakpoints, so
-    # its fb, u_B_opt, area_A and u_S_geom may move in the last bit from eq's
-    # fb and u_buyer and verify's means, but by no more than roundoff
+    # the aggregate reuses eq's first-best and buyer-proposer integrals and
+    # verify's cut of the buyer prior, so every number it shares with them is
+    # bit-identical: seeded pwl buyers of 2-11 knots against pwl and discrete
+    # sellers, plus uniform x uniform and a point buyer
     rng = np.random.default_rng(1818)
-    instances = [
+    instances = [UU, P1U] + [
         TradeInstance(
             buyer=random_pwl(rng, int(rng.integers(2, 12))),
             seller=random_pwl(rng, int(rng.integers(2, 12))) if i % 2 else random_discrete(rng),
@@ -299,13 +301,9 @@ def test_aggregate_decomposition_agrees_with_eq_and_verify():
         for instance in instances:
             for report in sweep_bounds(instance, (0.31784, 0.5)):
                 agg = aggregate_decomposition(instance, report.lam)
-                for got, want in (
-                    (agg.fb, report.fb),
-                    (agg.u_B_opt, report.u_buyer),
-                    (agg.area_A, report.mean_area_A),
-                    (agg.u_S_geom, report.mean_u_S_geom),
-                ):
-                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+                got = (agg.fb, agg.u_B_opt, agg.area_A, agg.u_S_geom)
+                want = (report.fb, report.u_buyer, report.mean_area_A, report.mean_u_S_geom)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_verify_bounds_uniform_uniform_optimal_lambda():

@@ -9,7 +9,8 @@ A seeded corpus of instances built to stress rounding and range:
 * pwl priors with 20+ flat runs (each an atom);
 * mirrored equal-revenue pwl pairs at 16-64 knots.
 
-Each instance must finish ``eq``, ``verify`` and ``simulate`` within a
+Each instance must finish every command that reads an instance (``fb``,
+``eq``, ``decompose``, ``verify``, ``sweep`` and ``simulate``) within a
 wall-time budget. A valid instance prints strict JSON (no ``Infinity`` or
 ``NaN``) and exits 0; an instance the library cannot represent is refused
 with a ``ValidationError`` (exit 1). None may exit 2, the code reserved for
@@ -39,8 +40,11 @@ from conftest import budget
 #: Wall-time budget per command; each takes well under 0.1 s.
 BUDGET_S = 5.0
 COMMANDS = (
+    ("fb",),
     ("eq",),
+    ("decompose", "--lambda", "0.31784"),
     ("verify", "--lambda", "0.31784"),
+    ("sweep", "--lambda-grid", "0.05:0.95:19"),
     ("simulate", "--trials", "5000", "--seed", "1"),
 )
 TOP = 2.0**1023
