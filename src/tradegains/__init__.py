@@ -58,6 +58,7 @@ from .search import (
     SearchConfig,
     SearchResult,
     canonical_uniform_instance,
+    equal_revenue_instance,
     random_instance,
     worst_case_search,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "canonical_uniform_instance",
     "decompose_fixed_v",
     "distribution_from_json",
+    "equal_revenue_instance",
     "equilibrium",
     "expect",
     "first_best",

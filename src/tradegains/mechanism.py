@@ -95,11 +95,20 @@ def acceptance_prob(seller: Distribution, p: float) -> float:
     return seller.cdf(p)
 
 
-def _check_value(v: float) -> float:
+def _check_value(v: float, prior: Distribution) -> float:
+    """``v`` as a float; :class:`DomainError` unless it is finite and its span with ``prior`` is."""
     v = float(v)
     if not math.isfinite(v):
         raise DomainError(f"v must be finite, got {v!r}")
+    _check_span(v, v, prior)
     return v
+
+
+def _check_span(lo: float, hi: float, prior: Distribution) -> None:
+    """:class:`DomainError` if ``lo .. hi`` and ``prior``'s support, where every surplus lies, span more than a float."""
+    lo, hi = min(lo, prior.support_min), max(hi, prior.support_max)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the value span {lo!r} .. {hi!r} of v and the prior overflows a float")
 
 
 # --------------------------------------------------------------------------
@@ -141,8 +150,9 @@ def buyer_best_response_many(
 
     Ties are broken toward the larger trade probability, then the smaller
     price. When no offer can trade (``v`` below the seller's support) the
-    buyer quotes his own value and keeps utility zero. A non-finite value
-    raises :class:`DomainError`.
+    buyer quotes his own value and keeps utility zero. A non-finite value,
+    or values whose span with the seller's support overflows a float, raise
+    :class:`DomainError`.
 
     Only the envelope entry on top at ``v`` and its two neighbours are
     scored, so rounding in the envelope's starts cannot drop the winner.
@@ -157,9 +167,11 @@ def buyer_best_response_many(
     the value-by-value fold.
     """
     vs = np.asarray(vs, dtype=float)
-    finite = np.isfinite(vs)
-    if not finite.all():
-        raise DomainError(f"v must be finite, got {float(vs[~finite][0])!r}")
+    if vs.size:
+        lo, hi = float(vs.min()), float(vs.max())  # NaN if any value is NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"v must be finite, got {float(vs[~np.isfinite(vs)][0])!r}")
+        _check_span(lo, hi, seller)
     if vs.size < _ARRAY_MIN:
         best = np.asarray([_best_response_at(v, seller) for v in vs.ravel().tolist()])
         best = best.reshape(*vs.shape, 3)
@@ -220,7 +232,7 @@ def _best_response_at(v: float, seller: Distribution) -> tuple[float, float, flo
 
 def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
     """:func:`buyer_best_response_many` at the one value ``v``, by the value-by-value fold."""
-    price, utility, trade_prob = _best_response_at(_check_value(v), seller)
+    price, utility, trade_prob = _best_response_at(_check_value(v, seller), seller)
     return BestResponse(price=price, utility=utility, trade_prob=trade_prob)
 
 
@@ -231,7 +243,7 @@ def seller_best_response(c: float, buyer: Distribution) -> BestResponse:
     ``-p`` is the survival at ``p`` (a buyer atom at the price accepts). Ties
     go to the larger trade probability, then the larger price.
     """
-    r = buyer_best_response(-float(c), buyer.negate())
+    r = buyer_best_response(-_check_value(c, buyer), buyer.negate())
     return BestResponse(price=-r.price, utility=r.utility, trade_prob=r.trade_prob)
 
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 from .errors import DomainError, InvariantViolation
 from .mechanism import equilibrium  # noqa: F401  # unused, kept: traced benchmark runs wrap it
 
-#: Tolerance for the guarantee margins, relative to max(1, fb).
-MARGIN_TOL = 1e-9
+#: Tolerance of every proven identity and inequality, relative to max(1, |fb|).
+SLACK_TOL = 1e-9
 
 
 def _check_lambda(lam: float) -> float:
@@ -25,6 +25,20 @@ def _check_lambda(lam: float) -> float:
     if not 0.0 < lam < 1.0 or math.isnan(lam):
         raise DomainError(f"lambda must lie in (0, 1), got {lam!r}")
     return lam
+
+
+def _check_slacks(slacks: dict[str, float], fb: float) -> None:
+    """:class:`InvariantViolation` unless every slack is at least ``-tol = -SLACK_TOL * max(1, |fb|)``.
+
+    The ``identity`` slack must lie within ``tol`` of 0; a NaN slack fails.
+    """
+    tol = SLACK_TOL * max(1.0, abs(fb))
+    for name, slack in slacks.items():
+        if name == "identity":
+            if not abs(slack) <= tol:
+                raise InvariantViolation(f"identity slack {slack!r} exceeds tolerance {tol!r}")
+        elif not slack >= -tol:
+            raise InvariantViolation(f"slack {name} = {slack!r} below -{tol!r}")
 
 
 def _log_inverse(lam: float) -> float:
@@ -132,16 +146,10 @@ def guarantee_check(eq) -> GuaranteeMargins:
 
     ``eq`` is an ``EquilibriumReport`` or a ``BoundReport``. The ratio is the
     computed optimum (about 3.1462), which the analysis certifies, not 3.15.
-    A margin below ``-MARGIN_TOL * max(1, fb)``, or a NaN margin, raises
+    A margin below ``-SLACK_TOL * max(1, |fb|)``, or a NaN margin, raises
     :class:`InvariantViolation`.
     """
     ratio_star = default_optimum().ratio_star
-    margin_315 = eq.gft - eq.fb / ratio_star
-    margin_4 = eq.gft - eq.fb / 4.0
-    tol = MARGIN_TOL * max(1.0, abs(eq.fb))
-    # written so that a NaN margin fails too
-    if not (margin_315 >= -tol and margin_4 >= -tol):
-        raise InvariantViolation(
-            f"guarantee margins ({margin_315!r}, {margin_4!r}) below -{tol!r}"
-        )
-    return GuaranteeMargins(margin_315=margin_315, margin_4=margin_4)
+    margins = GuaranteeMargins(margin_315=eq.gft - eq.fb / ratio_star, margin_4=eq.gft - eq.fb / 4.0)
+    _check_slacks(margins.to_json(), eq.fb)
+    return margins

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, PiecewiseLinearDistribution
 from .errors import DomainError, InvariantViolation, _check_integer
 from .mechanism import TradeInstance, equilibrium, trade_instance_to_json
 from .ratio import default_optimum, guarantee_check
@@ -25,6 +25,9 @@ MIN_MASS = 1e-9
 
 #: Atom count per side of the canonical uniform-by-uniform seed instance.
 CANONICAL_ATOMS = 64
+
+#: Top value H of the equal-revenue buyer quantile ``min(1 / (1 - q), H)``.
+EQUAL_REVENUE_TOP = 100.0
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,22 @@ def canonical_uniform_instance(atoms: int = CANONICAL_ATOMS) -> TradeInstance:
     pairs = [((2 * i + 1) / (2 * atoms), 1.0 / atoms) for i in range(atoms)]
     dist = DiscreteDistribution.from_atoms(pairs)
     return TradeInstance(buyer=dist, seller=dist)
+
+
+def equal_revenue_instance(knots: int) -> TradeInstance:
+    """Mirrored equal-revenue pwl pair: buyer quantile ``min(1 / (1 - q), H)`` on ``q = i / (knots - 1)``.
+
+    ``H`` is :data:`EQUAL_REVENUE_TOP`; the seller's cost is ``H + 1 - v`` on the mirrored grid ``1 - q``.
+    """
+    steps = _check_integer("knots", knots, 2) - 1
+    top = EQUAL_REVENUE_TOP
+    qs = [i / steps for i in range(steps + 1)]
+    vals = [min(1.0 / (1.0 - q), top) if q < 1.0 else top for q in qs]
+    buyer = PiecewiseLinearDistribution.from_knots(zip(qs, vals))
+    seller = PiecewiseLinearDistribution.from_knots(
+        zip([1.0 - q for q in reversed(qs)], [top + 1.0 - v for v in reversed(vals)])
+    )
+    return TradeInstance(buyer=buyer, seller=seller)
 
 
 def worst_case_search(

@@ -1,6 +1,7 @@
 """Shared corpus generation for the test suite."""
 
 import contextlib
+import json
 import signal
 
 import numpy as np
@@ -39,6 +40,15 @@ def random_pwl(rng, knots):
     return PiecewiseLinearDistribution.from_knots(
         zip(np.linspace(0.0, 1.0, knots).tolist(), np.sort(rng.uniform(0.0, 1.0, knots)).tolist())
     )
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-JSON constants ``Infinity``, ``-Infinity`` and ``NaN``."""
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class _Overrun(BaseException):

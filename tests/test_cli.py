@@ -17,7 +17,7 @@ import tradegains.ratio as ratio
 import tradegains.search as search
 from tradegains.errors import InvariantViolation
 
-from conftest import NON_NUMBER_SUGAR
+from conftest import NON_NUMBER_SUGAR, strict_json
 
 UU_JSON = {
     "buyer": {"kind": "uniform", "lo": 0, "hi": 1},
@@ -114,6 +114,15 @@ def test_decompose_non_finite_v_exits_one(capsys, tmp_path, v, seller):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: v must be finite")
+
+
+def test_decompose_v_whose_span_with_the_seller_overflows_exits_one(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"buyer": UU_JSON["buyer"], "seller": {"kind": "uniform", "lo": -1e308, "hi": 0}}))
+    assert cli.run(["decompose", "--instance", str(path), "--lambda", "0.5", "--v", "1.5e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the value span -1e+308 .. 1.5e+308 of v and the prior overflows a float\n"
 
 
 def test_decompose_aggregate(capsys, uu_path):
@@ -215,21 +224,14 @@ def test_sweep_minimal_ratio_bound_at_reported_lambda(capsys, uu_path):
     assert best["lambda"] == pytest.approx(0.31784, abs=1e-12)
 
 
-def _strict_json(text):
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    return json.loads(text, parse_constant=reject)
-
-
 @pytest.mark.parametrize("lam", ["5e-324", "1e-310"])
 def test_subnormal_lambda_prints_strict_json(capsys, uu_path, lam):
     # ln(1/lambda) must not go through 1/lambda, which overflows to inf here
     assert cli.run(["verify", "--instance", uu_path, "--lambda", lam]) == 0
-    report = _strict_json(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["slacks"]["area_log"] > 0.0
     assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", f"{lam}:{lam}:1"]) == 0
-    (row,) = _strict_json(capsys.readouterr().out)
+    (row,) = strict_json(capsys.readouterr().out)
     assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", f"{lam}:{lam}:1", "--format", "csv"]) == 0
     cells = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert all(math.isfinite(float(cell)) for cell in cells)

@@ -818,6 +818,12 @@ def test_validate_rejects_non_monotone_pwl():
     assert any("not monotone" in msg for msg in report.problems)
 
 
+def test_validate_refuses_a_segment_whose_slope_overflows():
+    # an overflowing span is reported alone: see test_a_prior_whose_value_span_overflows_is_refused
+    report = validate({"kind": "pwl", "knots": [[0.0, 0.0], [2.0**-53, 1e300], [1.0, 1e300]]})
+    assert report.problems == ("knot 1: segment too steep, its slope 1e+300 / 1.1102230246251565e-16 overflows a float",)
+
+
 def test_validate_normalizes_a_hand_built_discrete_prior():
     # built without from_atoms: unsorted, with the value 1.0 twice
     report = validate(DiscreteDistribution(values=(1.0, 0.0, 1.0, 2.0), probs=(0.25, 0.5, 0.125, 0.125)))

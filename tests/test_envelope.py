@@ -19,8 +19,10 @@ from tradegains import (
     TradeInstance,
     ValidationError,
     buyer_best_response,
+    canonical_uniform_instance,
     distribution_from_json,
     distributions,
+    equal_revenue_instance,
     equilibrium,
     expect,
     geometry,
@@ -85,15 +87,11 @@ def pwl_seller(seed, skew):
     return PiecewiseLinearDistribution.from_knots(zip(np.linspace(0.0, 1.0, knots).tolist(), vals.tolist()))
 
 
-def canonical(atoms):
-    return DiscreteDistribution.from_atoms([((2 * i + 1) / (2 * atoms), 1.0 / atoms) for i in range(atoms)])
-
-
 SELLERS = (
     [pytest.param(discrete_seller(seed), id=f"discrete-{seed}") for seed in range(16)]
     + [pytest.param(pwl_seller(seed, False), id=f"pwl-{seed}") for seed in range(16)]
     + [pytest.param(pwl_seller(seed, True), id=f"pwl-cubed-{seed}") for seed in range(16)]
-    + [pytest.param(canonical(atoms), id=f"canonical-{atoms}") for atoms in (1, 2, 3, 8, 64, 256)]
+    + [pytest.param(canonical_uniform_instance(atoms).buyer, id=f"canonical-{atoms}") for atoms in (1, 2, 3, 8, 64, 256)]
 )
 
 
@@ -248,7 +246,7 @@ def test_simulate_prices_coarse_grid_ties_like_the_exact_path():
 
 def test_best_response_cdf_calls_are_logarithmic(monkeypatch):
     atoms = 4096
-    seller = canonical(atoms)
+    seller = canonical_uniform_instance(atoms).buyer
     calls = 0
     cdf = DiscreteDistribution.cdf
 
@@ -312,20 +310,9 @@ def test_breakpoints_grow_linearly_in_the_knots(seed):
     assert len(mechanism.buyer_response_breakpoints(seller)) <= 4 * len(seller.qs)
 
 
-def equal_revenue_pair(steps, top):
-    """Buyer quantile ``min(1 / (1 - q), top)`` on ``q = i / steps``; the seller mirrors it."""
-    qs = [i / steps for i in range(steps + 1)]
-    vals = [min(1.0 / (1.0 - q), top) if q < 1.0 else top for q in qs]
-    buyer = PiecewiseLinearDistribution.from_knots(zip(qs, vals))
-    seller = PiecewiseLinearDistribution.from_knots(
-        zip([1.0 - q for q in reversed(qs)], [top + 1.0 - v for v in reversed(vals)])
-    )
-    return TradeInstance(buyer=buyer, seller=seller)
-
-
 def test_equal_revenue_pair_at_200_steps_finishes():
     with budget(5):
-        eq = equilibrium(equal_revenue_pair(200, 100.0))
+        eq = equilibrium(equal_revenue_instance(201))
     assert 1.90 <= eq.fb / eq.gft <= 1.91
 
 
@@ -467,8 +454,8 @@ PARALLEL_UNDERFLOW = DiscreteDistribution.from_atoms([(0.0, 1e-300), (1e-30, 1e-
     "prior",
     SELLERS
     + hostile_priors()
-    + [pytest.param(canonical(atoms), id=f"canonical-{atoms}") for atoms in ATOM_COUNTS]
-    + [pytest.param(getattr(equal_revenue_pair(200, 100.0), side), id=f"equal-revenue-200-{side}") for side in ("buyer", "seller")]
+    + [pytest.param(canonical_uniform_instance(atoms).buyer, id=f"canonical-{atoms}") for atoms in ATOM_COUNTS]
+    + [pytest.param(getattr(equal_revenue_instance(201), side), id=f"equal-revenue-200-{side}") for side in ("buyer", "seller")]
     + [pytest.param(PARALLEL_UNDERFLOW, id="parallel-underflow")],
 )
 def test_envelope_matches_the_reference_sweep_bit_for_bit(prior, negate):

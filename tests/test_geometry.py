@@ -24,6 +24,7 @@ from tradegains import (
     point,
     guarantee_check,
     ratio_bound,
+    seller_best_response,
     seller_scaling_utility,
     sweep_bounds,
     uniform,
@@ -76,17 +77,31 @@ def test_decompose_lambda_domain():
             decompose_fixed_v(1.0, U01, lam)
 
 
-@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("seller", [U01, COIN], ids=["pwl", "discrete"])
-def test_fixed_v_functions_reject_non_finite_v(v, seller):
-    for call in (
+def fixed_v_calls(v, seller):
+    return (
+        lambda: buyer_best_response(v, seller),
+        lambda: mechanism.buyer_best_response_many(np.array([v]), seller),
+        lambda: seller_best_response(-v, seller.negate()),
         lambda: decompose_fixed_v(v, seller, 0.5),
         lambda: buyer_deviation_bound(v, seller, 0.5),
         lambda: seller_scaling_utility(v, seller, 0.5),
         lambda: key_lemma_margin(v, seller, 0.0),
         lambda: key_lemma_margins(v, seller, np.zeros(1)),
-    ):
+    )
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("seller", [U01, COIN], ids=["pwl", "discrete"])
+def test_fixed_v_functions_reject_non_finite_v(v, seller):
+    for call in fixed_v_calls(v, seller):
         with pytest.raises(DomainError, match="v must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("v, seller", [(1.5e308, uniform(-1e308, 0.0)), (-1.5e308, uniform(0.0, 1e308))], ids=["above", "below"])
+def test_fixed_v_functions_refuse_a_v_whose_span_with_the_seller_overflows(v, seller):
+    for call in fixed_v_calls(v, seller):
+        with pytest.raises(DomainError, match="of v and the prior overflows a float$"):
             call()
 
 

@@ -6,8 +6,9 @@ A seeded corpus of instances built to stress rounding and range:
 * masses of 1e-300;
 * value scales of 2**900 and 2**-900, values near the top of the float
   range, and value spans that overflow a float;
-* pwl priors with 20+ flat runs (each an atom);
-* mirrored equal-revenue pwl pairs at 16-64 knots.
+* pwl priors with 20+ flat runs (each an atom), and segments so steep
+  that their slope overflows a float;
+* mirrored equal-revenue pwl pairs at 17-65 knots.
 
 Each instance must finish every command that reads an instance (``fb``,
 ``eq``, ``decompose``, ``verify``, ``sweep`` and ``simulate``) within a
@@ -27,6 +28,7 @@ from tradegains import (
     PiecewiseLinearDistribution,
     TradeInstance,
     ValidationError,
+    equal_revenue_instance,
     equilibrium,
     first_best,
     point,
@@ -35,7 +37,7 @@ from tradegains import (
     verify_bounds,
 )
 
-from conftest import budget
+from conftest import budget, strict_json
 
 #: Wall-time budget per command; each takes well under 0.1 s.
 BUDGET_S = 5.0
@@ -124,23 +126,15 @@ def _flat_runs(seed):
     }
 
 
-def _equal_revenue(steps, top=100.0):
-    """Buyer quantile ``min(1 / (1 - q), top)`` on ``q = i / steps``; the seller mirrors it."""
-    qs = [i / steps for i in range(steps + 1)]
-    vals = [min(1.0 / (1.0 - q), top) if q < 1.0 else top for q in qs]
-    return {
-        f"equal-revenue-{steps}": _pwl(qs, vals),
-        f"equal-revenue-{steps}:seller": _pwl([1.0 - q for q in reversed(qs)], [top + 1.0 - v for v in reversed(vals)]),
-    }
-
-
 def _corpus():
     sides = {}
     for seed in range(3):
         for part in (_near_duplicates(seed), _tiny_masses(seed), _flat_runs(seed), _scaled(seed, 900), _scaled(seed, -900)):
             sides.update(part)
     for steps in (16, 32, 64):
-        sides.update(_equal_revenue(steps))
+        pair = equal_revenue_instance(steps + 1)
+        sides[f"equal-revenue-{steps}"] = pair.buyer.to_json()
+        sides[f"equal-revenue-{steps}:seller"] = pair.seller.to_json()
     corpus = {
         name: ({"buyer": side, "seller": sides[f"{name}:seller"]}, True)
         for name, side in sides.items()
@@ -171,21 +165,20 @@ def _corpus():
         {"buyer": _discrete([0.2, 0.5], [0.5, 0.5]), "seller": _pwl([0.0, 0.3, np.nextafter(0.3, 1.0), 1.0], [0.1, 0.4, 0.6, 0.9])},
         False,
     )
+    # a segment whose slope dv / dq overflows, so that dq / dv is 0 or a 24-bit subnormal: refused
+    for top in (1.7e308, 1e300):
+        corpus[f"steep-pwl-{top:g}"] = (
+            {"buyer": _pwl([0.0, 1.0], [0.0, 1.0]), "seller": _pwl([0.0, 2.0**-53, 1.0], [0.0, top, top])},
+            False,
+        )
     return corpus
 
 
 CORPUS = _corpus()
 
 
-def _strict_json(text):
-    def refuse(name):
-        raise ValueError(f"non-JSON constant {name}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 def test_corpus_covers_every_stress():
-    prefixes = ("ulp-", "tiny-", "scale+900", "scale-900", "near-top", "span-overflow", "flat-", "equal-revenue-")
+    prefixes = ("ulp-", "tiny-", "scale+900", "scale-900", "near-top", "span-overflow", "flat-", "equal-revenue-", "steep-")
     assert all(any(name.startswith(p) for name in CORPUS) for p in prefixes)
     flat = CORPUS["flat-pwl-disc-0"][0]["buyer"]["knots"]
     assert sum(a[1] == b[1] for a, b in zip(flat, flat[1:])) >= 20
@@ -207,7 +200,7 @@ def test_hostile_instance_finishes_with_finite_output_or_is_refused(name, tmp_pa
         out = capsys.readouterr()
         if valid:
             assert code == 0, (command, out.err)
-            payload = _strict_json(out.out)
+            payload = strict_json(out.out)
             assert payload
         else:
             assert (code, out.out) == (1, ""), (command, out.err)

@@ -18,6 +18,7 @@ from tradegains import (
     TradeInstance,
     buyer_best_response,
     buyer_best_response_many,
+    canonical_uniform_instance,
     equilibrium,
     first_best,
     point,
@@ -28,7 +29,7 @@ from tradegains import (
     uniform,
 )
 
-from conftest import budget, random_discrete, random_discrete_instance, random_pwl
+from conftest import budget, random_discrete, random_discrete_instance, random_pwl, strict_json
 
 UU = TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1))
 P1U = TradeInstance(buyer=point(1.0), seller=uniform(0, 1))
@@ -249,13 +250,6 @@ def test_seed_takes_numpy_integers_as_their_ints():
     assert report == simulate_mechanism(UU, 3, -4) and type(report.seed) is int
 
 
-def _strict_json(text):
-    def refuse(name):
-        raise ValueError(f"non-JSON constant {name}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 def _floats(payload):
     if isinstance(payload, dict):
         for key in sorted(payload):
@@ -282,15 +276,10 @@ def test_simulate_scales_by_powers_of_two(k, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.run(["simulate", "--instance", str(path), "--trials", "20000", "--seed", "3"]) == 0
-        outputs.append(list(_floats(_strict_json(capsys.readouterr().out))))
+        outputs.append(list(_floats(strict_json(capsys.readouterr().out))))
     unit, scaled = outputs
     assert len(unit) == 8 and all(x > 0.0 for x in unit)
     assert scaled == [math.ldexp(x, k) for x in unit]
-
-
-def _canonical(atoms=64):
-    d = DiscreteDistribution.from_atoms([((2 * i + 1) / (2 * atoms), 1.0 / atoms) for i in range(atoms)])
-    return TradeInstance(buyer=d, seller=d)
 
 
 def _pwl_against_discrete(seed=13):
@@ -301,7 +290,7 @@ def _pwl_against_discrete(seed=13):
     return TradeInstance(buyer=buyer, seller=seller)
 
 
-PINNED_INSTANCES = {"c064": _canonical(), "uu": UU, "pd32": _pwl_against_discrete()}
+PINNED_INSTANCES = {"c064": canonical_uniform_instance(), "uu": UU, "pd32": _pwl_against_discrete()}
 #: ``(mean, stderr[, trials])`` of each estimate at 2**17 + 5 trials and seed 41, by ``float.hex``,
 #: recorded when every draw and envelope lookup was numpy's binary search
 PINNED_SIMULATIONS = {

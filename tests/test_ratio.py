@@ -112,7 +112,7 @@ def test_guarantee_check_examples():
 @pytest.mark.parametrize("field", ["gft", "fb"])
 def test_guarantee_check_refuses_a_nan_margin(field):
     eq = dataclasses.replace(equilibrium(UU), **{field: math.nan})
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"^slack margin_315 = nan below -1e-09$"):
         guarantee_check(eq)
 
 

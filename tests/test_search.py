@@ -12,6 +12,7 @@ from tradegains import (
     SearchConfig,
     TradeInstance,
     canonical_uniform_instance,
+    equal_revenue_instance,
     equilibrium,
     first_best,
     optimize_lambda,
@@ -48,6 +49,14 @@ def test_canonical_seed_ratio():
     inst = canonical_uniform_instance()
     eq = equilibrium(inst)
     assert eq.fb / eq.gft == pytest.approx(1.3131313131313131, abs=1e-12)
+
+
+def test_equal_revenue_instance_pins_its_equilibrium():
+    # fb / gft = 1.9031, the ratio tools/scaling.py prints at 201 knots
+    eq = equilibrium(equal_revenue_instance(201))
+    assert (eq.fb.hex(), eq.gft.hex()) == ("0x1.7d89d02aa3172p-4", "0x1.90f99d48fc123p-5")
+    with pytest.raises(DomainError, match=r"^knots must be >= 2, got 1$"):
+        equal_revenue_instance(1)
 
 
 def test_search_deterministic():

@@ -11,9 +11,8 @@ Markdown tables, each time the best of ``--repeat`` wall times:
   masses (seeded): ``equilibrium``, ``verify_bounds`` at one lambda, a
   19-lambda ``sweep_bounds``, and the two envelope builds an
   ``equilibrium`` makes (the seller's and the negated buyer's);
-* the mirrored equal-revenue pwl pair at H = 100: the buyer quantile is
-  ``min(1 / (1 - q), H)`` on a uniform q-grid and the seller's cost is
-  ``H + 1 - v``; ``fb / gft``, ``equilibrium`` and ``verify_bounds``;
+* the mirrored equal-revenue pwl pair at H = 100 (``equal_revenue_instance``):
+  ``fb / gft``, ``equilibrium`` and ``verify_bounds``;
 * ``simulate_mechanism`` at seed 0 on three instances (64 midpoint atoms
   per side, uniform x uniform, and a seeded 32-knot pwl buyer against a
   32-atom discrete seller): ns per trial, and the peak bytes per trial
@@ -50,6 +49,8 @@ from tradegains import (  # noqa: E402
     DiscreteDistribution,
     PiecewiseLinearDistribution,
     TradeInstance,
+    canonical_uniform_instance,
+    equal_revenue_instance,
     equilibrium,
     simulate_mechanism,
     sweep_bounds,
@@ -61,7 +62,6 @@ from tradegains.cli import run  # noqa: E402
 
 LAMBDA = 0.31784
 LAMBDA_GRID = tuple(i / 20 for i in range(1, 20))
-TOP = 100.0
 
 
 def discrete_instance(atoms: int, seed: int) -> TradeInstance:
@@ -72,22 +72,6 @@ def discrete_instance(atoms: int, seed: int) -> TradeInstance:
         probs = rng.dirichlet(np.ones(len(values)))
         sides.append(DiscreteDistribution.from_atoms(zip(values.tolist(), probs.tolist())))
     return TradeInstance(buyer=sides[0], seller=sides[1])
-
-
-def equal_revenue_instance(knots: int) -> TradeInstance:
-    steps = knots - 1
-    qs = [i / steps for i in range(knots)]
-    vals = [min(1.0 / (1.0 - q), TOP) if q < 1.0 else TOP for q in qs]
-    buyer = PiecewiseLinearDistribution.from_knots(zip(qs, vals))
-    seller = PiecewiseLinearDistribution.from_knots(
-        zip([1.0 - q for q in reversed(qs)], [TOP + 1.0 - v for v in reversed(vals)])
-    )
-    return TradeInstance(buyer=buyer, seller=seller)
-
-
-def canonical_instance() -> TradeInstance:
-    d = DiscreteDistribution.from_atoms(((2 * i + 1) / 128, 1 / 64) for i in range(64))
-    return TradeInstance(buyer=d, seller=d)
 
 
 def pwl_discrete_instance() -> TradeInstance:
@@ -101,7 +85,7 @@ def pwl_discrete_instance() -> TradeInstance:
 
 
 MC_INSTANCES = {
-    "c064": canonical_instance,
+    "c064": canonical_uniform_instance,
     "uu": lambda: TradeInstance(buyer=uniform(0, 1), seller=uniform(0, 1)),
     "pd32": pwl_discrete_instance,
 }
