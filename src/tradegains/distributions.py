@@ -28,6 +28,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, islice, repeat
+from operator import add, itemgetter, le, lt, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +43,22 @@ PROB_TOL = 1e-12
 # degree 13, which covers every piecewise-polynomial integrand produced by
 # the mechanism/geometry modules once their breakpoints are split out.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock of Python 3.11, as from Python 3.12.
+
+    That lock is one per class, not per instance, and taking it costs about
+    as much as building a small prior's table. Every value cached here is a
+    pure function of a frozen object, so two threads that build one at once
+    store equal values.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -237,7 +255,7 @@ class Distribution:
     #: the segment is ``0.5 * (v - r)``, inside it for ``lo <= v <= hi``.
     stationary_segments: tuple[tuple[float, float, float, float], ...] = ()
 
-    @cached_property
+    @_cached
     def buyer_envelope(self) -> "BuyerEnvelope":
         """Upper envelope of a buyer's candidate prices against this prior."""
         return _buyer_envelope(self)
@@ -284,30 +302,27 @@ class DiscreteDistribution(Distribution):
         values, probs = normalized
         return cls(values=values, probs=probs)
 
-    @cached_property
+    @_cached
     def cum(self) -> tuple[float, ...]:
-        out = []
-        acc = 0.0
-        for p in self.probs:
-            acc += p
-            out.append(acc)
+        """The masses summed left to right from 0.0, the last sum pinned to exactly 1."""
+        out = list(accumulate(self.probs, initial=0.0))
         out[-1] = 1.0  # guard cumulative roundoff; probs sum to 1 within PROB_TOL
-        return tuple(out)
+        return tuple(islice(out, 1, None))
 
     # cached numpy views for the vectorized paths
-    @cached_property
+    @_cached
     def _values_arr(self) -> np.ndarray:
         return _read_only(np.asarray(self.values, dtype=float))
 
-    @cached_property
+    @_cached
     def _probs_arr(self) -> np.ndarray:
         return _read_only(np.asarray(self.probs, dtype=float))
 
-    @cached_property
+    @_cached
     def _cum_arr(self) -> np.ndarray:
         return _read_only(np.asarray(self.cum, dtype=float))
 
-    @cached_property
+    @_cached
     def _cum_padded(self) -> np.ndarray:
         """``cdf`` below each atom index: ``cum`` behind a leading 0."""
         return _read_only(np.concatenate(([0.0], self._cum_arr)))
@@ -329,30 +344,26 @@ class DiscreteDistribution(Distribution):
         i = bisect.bisect_right(self.values, p)
         return self.cum[i - 1] if i > 0 else 0.0
 
-    @cached_property
+    @_cached
     def _quantile_prefix(self) -> np.ndarray:
-        """``integrate_quantile(0, cum[i - 1])`` at index ``i``, summed left to right."""
-        out = [0.0]
-        total = prev = 0.0
-        for v, c in zip(self.values, self.cum):
-            if c > prev:
-                total += v * (c - prev)
-            out.append(total)
-            prev = c
-        return _read_only(np.array(out))
+        """``integrate_quantile(0, cum[i - 1])`` at index ``i``, summed left to right.
+
+        Atom ``i`` adds ``values[i]`` times its rise of ``cum``, taken as 0
+        where ``cum`` does not rise (``fmax`` also drops a NaN). The sum is
+        never -0.0, so adding ``values[i] * 0.0`` leaves it as it is.
+        """
+        cum = self._cum_padded
+        return _running_sums(self._values_arr * np.fmax(0.0, cum[1:] - cum[:-1]))
 
     def _integrate_quantile_to_many(self, q: np.ndarray) -> np.ndarray:
         i = self._cum_arr.searchsorted(q, side="left")
         return self._quantile_prefix[i] + self._values_arr[i] * (q - self._cum_padded[i])
 
-    @cached_property
+    @_cached
     def _cdf_prefix(self) -> np.ndarray:
         """``integrate_cdf(values[0], values[i])`` at index ``i``, summed left to right."""
-        values, cum = self.values, self.cum
-        out = [0.0]
-        for i in range(1, len(values)):
-            out.append(out[-1] + cum[i - 1] * (values[i] - values[i - 1]))
-        return _read_only(np.array(out))
+        values = self._values_arr
+        return _running_sums(self._cum_arr[:-1] * (values[1:] - values[:-1]))
 
     def _integrate_cdf_to_many(self, p: np.ndarray) -> np.ndarray:
         j = self._values_arr[1:].searchsorted(p, side="right")  # the last atom at or below p, or 0
@@ -362,16 +373,13 @@ class DiscreteDistribution(Distribution):
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
-    @cached_property
+    @_cached
     def _negation(self) -> "DiscreteDistribution":
-        neg = DiscreteDistribution(
-            values=tuple(-v for v in reversed(self.values)),
-            probs=tuple(reversed(self.probs)),
-        )
-        # built from complements, not re-summed, so that neg.cdf(-p) equals
+        mirror = DiscreteDistribution(values=tuple(map(neg, reversed(self.values))), probs=self.probs[::-1])
+        # built from complements, not re-summed, so that mirror.cdf(-p) equals
         # self.survival(p) bit for bit: seller sides are solved on negations
-        neg.__dict__["cum"] = tuple(1.0 - c for c in reversed(self.cum[:-1])) + (1.0,)
-        return neg
+        mirror.__dict__["cum"] = (*map(sub, repeat(1.0), islice(reversed(self.cum), 1, None)), 1.0)
+        return mirror
 
     def to_json(self) -> dict:
         return {
@@ -383,7 +391,7 @@ class DiscreteDistribution(Distribution):
         idx = self._cum_arr.searchsorted(_check_prob_many(q), side="left")
         return self._values_arr[np.minimum(idx, len(self.values) - 1)]
 
-    @cached_property
+    @_cached
     def _cum_guide(self) -> _Guide:
         return _Guide(self._cum_arr)
 
@@ -426,11 +434,11 @@ class PiecewiseLinearDistribution(Distribution):
         qs, vals = normalized
         return cls(qs=qs, vals=vals)
 
-    @cached_property
+    @_cached
     def _qs_arr(self) -> np.ndarray:
         return _read_only(np.asarray(self.qs, dtype=float))
 
-    @cached_property
+    @_cached
     def _vals_arr(self) -> np.ndarray:
         return _read_only(np.asarray(self.vals, dtype=float))
 
@@ -442,14 +450,14 @@ class PiecewiseLinearDistribution(Distribution):
     def support_max(self) -> float:
         return self.vals[-1]
 
-    @cached_property
+    @_cached
     def _knot_values(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.vals)))
 
     def knot_values(self) -> tuple[float, ...]:
         return self._knot_values
 
-    @cached_property
+    @_cached
     def stationary_segments(self) -> tuple[tuple[float, float, float, float], ...]:
         qs, vals = self.qs, self.vals
         out = []
@@ -478,17 +486,17 @@ class PiecewiseLinearDistribution(Distribution):
 
     # the quantile is the polyline through (qs, vals), the CDF the one through (vals, qs)
 
-    @cached_property
+    @_cached
     def _quantile_prefix(self) -> np.ndarray:
-        return _trapezoid_sums(self.qs, self.vals)
+        return _trapezoid_sums(self._qs_arr, self._vals_arr)
 
     def _integrate_quantile_to_many(self, q: np.ndarray) -> np.ndarray:
         dq, dv, _ = self._steps
         return _polyline_area_many(self._qs_arr, self._vals_arr, dv, dq, self._quantile_prefix, q)
 
-    @cached_property
+    @_cached
     def _cdf_prefix(self) -> np.ndarray:
-        return _trapezoid_sums(self.vals, self.qs)
+        return _trapezoid_sums(self._vals_arr, self._qs_arr)
 
     def _integrate_cdf_to_many(self, p: np.ndarray) -> np.ndarray:
         dq, _, dv = self._steps
@@ -501,11 +509,10 @@ class PiecewiseLinearDistribution(Distribution):
             for i in range(len(qs) - 1)
         )
 
-    @cached_property
+    @_cached
     def _negation(self) -> "PiecewiseLinearDistribution":
         return PiecewiseLinearDistribution(
-            qs=tuple(1.0 - q for q in reversed(self.qs)),
-            vals=tuple(-v for v in reversed(self.vals)),
+            qs=tuple(map(sub, repeat(1.0), reversed(self.qs))), vals=tuple(map(neg, reversed(self.vals)))
         )
 
     def to_json(self) -> dict:
@@ -514,7 +521,7 @@ class PiecewiseLinearDistribution(Distribution):
             "knots": [{"q": q, "value": v} for q, v in zip(self.qs, self.vals)],
         }
 
-    @cached_property
+    @_cached
     def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(dq, dv, dv_safe)``: each segment's ``qs`` and ``vals`` steps.
 
@@ -542,7 +549,7 @@ class PiecewiseLinearDistribution(Distribution):
         out = self._segment_quantiles(q, self._qs_arr[1:-1].searchsorted(q, side="right"))
         return np.where(q >= self.qs[-1], self.vals[-1], out)
 
-    @cached_property
+    @_cached
     def _inner_guide(self) -> _Guide:
         return _Guide(self._qs_arr[1:-1])
 
@@ -569,15 +576,17 @@ class PiecewiseLinearDistribution(Distribution):
         return np.where(p <= vals[0], 0.0, np.where(p > vals[-1], 1.0, out))
 
 
-def _trapezoid_sums(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """0, then the running sums of ``terms``, added left to right as one float loop would."""
+    return _read_only(np.add.accumulate(np.concatenate(([0.0], terms))))
+
+
+def _trapezoid_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Area under the polyline through ``(xs, ys)`` from ``xs[0]`` to ``xs[k]``, at index ``k``.
 
     Summed left to right; a repeated ``x`` is a jump and adds 0.
     """
-    out = [0.0]
-    for k in range(1, len(xs)):
-        out.append(out[-1] + (xs[k] - xs[k - 1]) * (ys[k - 1] + ys[k]) * 0.5)
-    return _read_only(np.array(out))
+    return _running_sums((xs[1:] - xs[:-1]) * (ys[:-1] + ys[1:]) * 0.5)
 
 
 def _polyline_area_many(
@@ -623,7 +632,7 @@ class BuyerEnvelope:
     starts: tuple[float, ...]
     entries: tuple[tuple[tuple[tuple[float, float], ...], float, float, float], ...]
 
-    @cached_property
+    @_cached
     def columns(self) -> tuple[np.ndarray, ...]:
         """``(starts, price, trade, lo, hi, r)`` as arrays, for lookups over many values.
 
@@ -633,19 +642,18 @@ class BuyerEnvelope:
         none, which no finite ``v`` can post; a blank has ``lo = hi = inf``.
         """
         inf = math.inf
-        slots = max(len(fixed) for fixed, *_ in self.entries)
-        pad = (inf, 1.0) * slots
-        rows = [
-            (*(f for knot in fixed for f in knot), *pad[2 * len(fixed) :], lo, hi, r)
-            for fixed, lo, hi, r in self.entries
-        ]
-        blank = (*pad, inf, inf, 0.0)
+        blank = ((), inf, inf, 0.0)
+        fixed, lo, hi, r = zip(blank, *self.entries, blank)
+        slots = max(map(len, fixed))
+        # per slot, the knot of every entry there, (inf, 1.0) where it has none
+        pad = ((inf, 1.0),) * slots
+        knots = zip(*map(itemgetter(slice(slots)), map(add, fixed, repeat(pad))))
         # one array, with row 2k the k-th knots' prices and row 2k + 1 their trade probabilities
-        table = _read_only(np.array(list(zip(blank, *rows, blank))))
+        table = _read_only(np.array([*chain.from_iterable(zip(*slot) for slot in knots), lo, hi, r]))
         price, trade = table[0 : 2 * slots : 2], table[1 : 2 * slots : 2]
         return _read_only(np.asarray(self.starts)), price, trade, *table[2 * slots :]
 
-    @cached_property
+    @_cached
     def _starts_guide(self) -> _Guide:
         """Guide table over ``starts``: the entry on top at each of many values."""
         return _Guide(self.columns[0])
@@ -667,23 +675,22 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
     # tables as the floats cdf_many and cdf_left_many return: a discrete
     # prior's cum, a pwl prior's q at the last and first knot of each value
     if isinstance(dist, DiscreteDistribution):
-        xs, lefts = dist.cum, ()
-    else:
-        qs, vals = dist.qs, dist.vals
-        xs = [q for q, v, w in zip(qs, vals, vals[1:]) if v != w] + [qs[-1]]
-        lefts = [q for q, u, v in zip(qs[1:], vals, vals[1:]) if u != v]
+        return _line_envelope(knots, dist.cum)
+    qs, vals = dist.qs, dist.vals
+    xs = [q for q, v, w in zip(qs, vals, vals[1:]) if v != w] + [qs[-1]]
+    if not segments:  # a point mass
+        return _line_envelope(knots, xs)
+    lefts = [q for q, u, v in zip(qs[1:], vals, vals[1:]) if u != v]
     # curve of each candidate as a function of v: the line (v - pa) * xa below
     # lo, the parabola 0.25 * slope * (v + r)**2 on [lo, hi] and the line
     # (v - pb) * xb above hi; a segment's tails are its end prices at the
     # segment's own limits cdf(ya) and cdf_left(yb)
-    step = 2 if segments else 1  # candidates per knot: the knot, then the segment above it
     curves: list = [None] * (len(knots) + len(segments))
-    curves[::step] = [(p, x, p, x, inf, inf, 0.0, 0.0) for p, x in zip(knots, xs)]
-    if segments:
-        curves[1::2] = [
-            (pa, xa, pb, xb, lo, hi, r, slope)
-            for pa, xa, pb, xb, (lo, hi, slope, r) in zip(knots, xs, knots[1:], lefts, segments)
-        ]
+    curves[::2] = [(p, x, p, x, inf, inf, 0.0, 0.0) for p, x in zip(knots, xs)]
+    curves[1::2] = [
+        (pa, xa, pb, xb, lo, hi, r, slope)
+        for pa, xa, pb, xb, (lo, hi, slope, r) in zip(knots, xs, knots[1:], lefts, segments)
+    ]
     stack: list[int] = []
     starts: list[float] = []
     for i, c in enumerate(curves):
@@ -711,13 +718,46 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
             starts.append(w)
     entries = []
     for i in stack:
-        j, segment = divmod(i, step)
+        j, segment = divmod(i, 2)
         if segment:
             lo, hi, _, r = segments[j]
             entries.append((((knots[j], xs[j]), (knots[j + 1], xs[j + 1])), lo, hi, r))
         else:
             entries.append((((knots[j], xs[j]),), inf, inf, 0.0))
     return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries))
+
+
+def _line_envelope(prices: Sequence[float], xs: Sequence[float]) -> BuyerEnvelope:
+    """The envelope of knots alone: the stack sweep over the lines ``(v - p) * x`` and nothing else.
+
+    The line on top of the stack is held in locals, ``(pt, xt, start)``,
+    and the lines below it as tuples.
+    """
+    inf = math.inf
+    lines = zip(prices, xs)
+    pt, xt = next(lines)
+    start = -inf
+    below: list[tuple[float, float, float]] = []
+    for pc, xc in lines:
+        while True:
+            # where this line reaches the one on top: _line_overtakes on (-inf, inf)
+            if xc > xt:
+                w = pc + xt * (pc - pt) / (xc - xt)
+            else:
+                w = -inf if xt * (pt - pc) >= 0.0 else inf
+            if w > start:
+                if w < inf:
+                    below.append((pt, xt, start))
+                    pt, xt, start = pc, xc, w
+                break
+            if not below:  # the top was the only line: this one takes its place from -inf
+                pt, xt, start = pc, xc, -inf
+                break
+            pt, xt, start = below.pop()
+    below.append((pt, xt, start))
+    ps, ts, starts = zip(*below)
+    entries = zip(zip(zip(ps, ts)), repeat(inf), repeat(inf), repeat(0.0))
+    return BuyerEnvelope(starts=starts, entries=tuple(entries))
 
 
 def _curve_at(c: tuple, v: float) -> float:
@@ -854,7 +894,67 @@ class ValidationReport:
         return not self.problems
 
 
-def _normalize_atoms(atoms) -> tuple[list[str], tuple | None]:
+def _pair_columns(pairs: list) -> tuple[Sequence, Sequence] | None:
+    """The two columns of ``pairs`` when each is a list or tuple of length 2, else None."""
+    if not pairs or not {list, tuple}.issuperset(map(type, pairs)) or set(map(len, pairs)) != {2}:
+        return None
+    return tuple(zip(*pairs))
+
+
+def _dict_columns(items: list, first: str, second: str) -> tuple[list, list] | None:
+    """``item.get(first)`` and ``item.get(second)`` of each item when every item is a dict, else None."""
+    if set(map(type, items)) != {dict}:
+        return None
+    return list(map(dict.get, items, repeat(first))), list(map(dict.get, items, repeat(second)))
+
+
+# Validation checks the common case -- every entry two floats, in order, no
+# value repeated -- in a few builtin passes over its two columns; anything
+# else takes the entry-by-entry pass, which words each problem, sorts and
+# merges. Past those, one tail serves both.
+
+
+def _normalize_atoms(atoms, columns=None) -> tuple[list[str], tuple | None]:
+    """``(problems, (values, probs))`` of raw atoms, or of the atoms whose two columns ``columns`` holds."""
+    if columns is None:
+        atoms = list(atoms)
+        columns = _pair_columns(atoms)
+    else:
+        atoms = zip(*columns)
+    values, probs = columns or ((), ())
+    # the common case: floats only, the values finite and strictly increasing
+    # (which also refuses a NaN), the masses finite and positive
+    if not (
+        {*map(type, values), *map(type, probs)} == {float}
+        and math.isfinite(values[0])
+        and math.isfinite(values[-1])
+        and all(map(lt, values, islice(values, 1, None)))
+        and all(map(math.isfinite, probs))
+        and min(probs) > 0.0
+    ):
+        problems, columns = _sorted_atoms(atoms)
+        if problems:
+            return problems, None
+        values, probs = columns
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_TOL:
+        return [f"probabilities sum != 1 (got {total!r})"], None
+    # cum sums the masses left to right and gives the atoms after the one
+    # where that sum first reaches 1 no mass: drop them too, so that probs
+    # and cum describe one prior
+    end = bisect.bisect_left(list(accumulate(probs)), 1.0) + 1
+    if end < len(probs):
+        values, probs = values[:end], probs[:end]
+    # keep the given masses (rescaling would break round-trip idempotence);
+    # the cumulative top is pinned to exactly 1 when cum is built
+    values, probs = tuple(values), tuple(probs)
+    if not math.isfinite(values[-1] - values[0]):
+        return [_span_overflows(values[0], values[-1])], None
+    return [], (values, probs)
+
+
+def _sorted_atoms(atoms: Iterable) -> tuple[list[str], tuple | None]:
+    """The entry-by-entry pass: every problem, or the atoms sorted by value, equal values merged left to right and zero masses dropped."""
     problems: list[str] = []
     pairs: list[tuple[float, float]] = []
     for i, atom in enumerate(atoms):
@@ -873,7 +973,6 @@ def _normalize_atoms(atoms) -> tuple[list[str], tuple | None]:
             pairs.append((v, p))
     if problems:
         return problems, None
-    # normalize: sort, merge duplicate values, drop zero-probability atoms
     pairs.sort(key=lambda t: t[0])
     merged: list[list[float]] = []
     for v, p in pairs:
@@ -884,28 +983,62 @@ def _normalize_atoms(atoms) -> tuple[list[str], tuple | None]:
     merged = [[v, p] for v, p in merged if p > 0.0]
     if not merged:
         return ["no atoms with positive probability"], None
-    total = math.fsum(p for _, p in merged)
-    if abs(total - 1.0) > PROB_TOL:
-        return [f"probabilities sum != 1 (got {total!r})"], None
-    # cum sums the masses left to right and gives the atoms after the one
-    # where that sum first reaches 1 no mass: drop them too, so that probs
-    # and cum describe one prior
-    acc = 0.0
-    for k, (_, p) in enumerate(merged):
-        acc += p
-        if acc >= 1.0:
-            del merged[k + 1 :]
-            break
-    # keep the given masses (rescaling would break round-trip idempotence);
-    # the cumulative top is pinned to exactly 1 when cum is built
-    values = tuple(v for v, _ in merged)
-    probs = tuple(p for _, p in merged)
-    if not math.isfinite(values[-1] - values[0]):
-        return [_span_overflows(values[0], values[-1])], None
-    return [], (values, probs)
+    return [], ([v for v, _ in merged], [p for _, p in merged])
 
 
-def _normalize_knots(knots) -> tuple[list[str], tuple | None]:
+def _normalize_knots(knots, columns=None) -> tuple[list[str], tuple | None]:
+    """``(problems, (qs, vals))`` of raw knots, or of the knots whose two columns ``columns`` holds."""
+    if columns is None:
+        knots = list(knots)
+        columns = _pair_columns(knots)
+    else:
+        knots = zip(*columns)
+    if columns is not None:
+        columns = _plain_knots(*columns)
+    if columns is None:
+        problems, columns = _ordered_knots(knots)
+        if problems:
+            return problems, None
+    qs, vals = columns
+    if not math.isfinite(vals[-1] - vals[0]):
+        return [_span_overflows(vals[0], vals[-1])], None
+    # a finite slope keeps dq / dv, by which stationary_segments divides, above 0 with 50+ bits
+    dqs = list(map(sub, islice(qs, 1, None), qs))
+    dvs = list(map(sub, islice(vals, 1, None), vals))
+    slopes = list(map(truediv, dvs, dqs))
+    if math.inf in slopes:
+        return [
+            f"knot {i}: segment too steep, its slope {dvs[i - 1]!r} / {dqs[i - 1]!r} overflows a float"
+            for i in range(1, len(qs))
+            if slopes[i - 1] == math.inf
+        ], None
+    return [], (tuple(qs), tuple(vals))
+
+
+def _plain_knots(qs: Sequence, vals: Sequence) -> tuple[list, Sequence] | None:
+    """``(qs, vals)`` with the grid's ends set to 0 and 1 when every knot is two floats and the knots pass the checks of :func:`_ordered_knots`, else None."""
+    if not (
+        len(qs) >= 2
+        and {*map(type, qs), *map(type, vals)} == {float}
+        and abs(qs[0]) <= PROB_TOL  # written so that a NaN fails too
+        and abs(qs[-1] - 1.0) <= PROB_TOL
+        and math.isfinite(vals[0])
+        and math.isfinite(vals[-1])
+    ):
+        return None
+    qs = [0.0, *islice(qs, 1, len(qs) - 1), 1.0]
+    mirrored = list(map(sub, repeat(1.0), qs))
+    if (
+        all(map(lt, qs, islice(qs, 1, None)))
+        and all(map(lt, islice(mirrored, 1, None), mirrored))
+        and all(map(le, vals, islice(vals, 1, None)))  # also refuses a NaN
+    ):
+        return qs, vals
+    return None
+
+
+def _ordered_knots(knots: Iterable) -> tuple[list[str], tuple | None]:
+    """The entry-by-entry pass: every problem, or the knots with the grid's ends set to 0 and 1."""
     problems: list[str] = []
     pairs: list[tuple[float, float]] = []
     for i, knot in enumerate(knots):
@@ -938,16 +1071,7 @@ def _normalize_knots(knots) -> tuple[list[str], tuple | None]:
             problems.append(f"knot {i}: quantile not monotone ({vals[i]!r} < {vals[i - 1]!r})")
     if problems:
         return problems, None
-    if not math.isfinite(vals[-1] - vals[0]):
-        return [_span_overflows(vals[0], vals[-1])], None
-    for i in range(1, len(qs)):
-        # a finite slope keeps dq / dv, by which stationary_segments divides, above 0 with 50+ bits
-        dq, dv = qs[i] - qs[i - 1], vals[i] - vals[i - 1]
-        if dv / dq == math.inf:
-            problems.append(f"knot {i}: segment too steep, its slope {dv!r} / {dq!r} overflows a float")
-    if problems:
-        return problems, None
-    return [], (tuple(qs), tuple(vals))
+    return [], (qs, vals)
 
 
 def _span_overflows(lo: float, hi: float) -> str:
@@ -979,16 +1103,30 @@ def distribution_from_json(obj) -> Distribution:
         atoms = obj.get("atoms")
         if not isinstance(atoms, list):
             raise ValidationError(["discrete distribution needs an 'atoms' list"])
-        return DiscreteDistribution.from_atoms(
-            (a.get("value"), a.get("prob")) if isinstance(a, dict) else a for a in atoms
-        )
+        columns = _dict_columns(atoms, "value", "prob")
+        if columns is not None:
+            problems, normalized = _normalize_atoms(None, columns)
+        else:
+            problems, normalized = _normalize_atoms(
+                (a.get("value"), a.get("prob")) if isinstance(a, dict) else a for a in atoms
+            )
+        if problems:
+            raise ValidationError(problems)
+        return DiscreteDistribution(*normalized)
     if kind == "pwl":
         knots = obj.get("knots")
         if not isinstance(knots, list):
             raise ValidationError(["pwl distribution needs a 'knots' list"])
-        return PiecewiseLinearDistribution.from_knots(
-            (k.get("q"), k.get("value")) if isinstance(k, dict) else k for k in knots
-        )
+        columns = _dict_columns(knots, "q", "value")
+        if columns is not None:
+            problems, normalized = _normalize_knots(None, columns)
+        else:
+            problems, normalized = _normalize_knots(
+                (k.get("q"), k.get("value")) if isinstance(k, dict) else k for k in knots
+            )
+        if problems:
+            raise ValidationError(problems)
+        return PiecewiseLinearDistribution(*normalized)
     if kind == "uniform":
         if "lo" not in obj or "hi" not in obj:
             raise ValidationError(["uniform distribution needs 'lo' and 'hi'"])

@@ -194,16 +194,29 @@ def _decomposition_breakpoints(seller: Distribution, lam: float) -> list[float]:
     return sorted(breaks)
 
 
-#: Evenly spaced quantiles, 0 and 1 included, added to a pwl buyer's knots as probes.
-_PROBE_GRID = 129
+#: 129 evenly spaced quantiles, 0 and 1 included, added to a pwl buyer's knots as probes.
+_PROBE_QS = np.arange(129) / 128
+_PROBE_QS.flags.writeable = False
 
 
 def _probe_values(buyer: Distribution) -> np.ndarray:
     """Deterministic conditioning values covering the buyer prior, ascending."""
     if isinstance(buyer, DiscreteDistribution):
         return buyer._values_arr
-    ts = sorted(set(buyer.qs) | {i / (_PROBE_GRID - 1) for i in range(_PROBE_GRID)})
-    return np.asarray(sorted(set(buyer.quantile_many(np.asarray(ts)).tolist())))
+    ts = _sorted_set(np.concatenate((buyer._qs_arr, _PROBE_QS)))
+    # the quantile can be 1 ulp out of order at a knot, and -0.0 equals 0.0
+    return _sorted_set(buyer.quantile_many(ts))
+
+
+def _sorted_set(x: np.ndarray) -> np.ndarray:
+    """``sorted(set(x))``: each value once, the first of its equals standing for them, as in a set.
+
+    ``return_index`` makes ``np.unique`` sort stably, so that the first of
+    equal values is kept. It also takes another path than a plain
+    ``np.unique``, whose first call in a process took 7 ms with numpy 2.4.6
+    on a 2-CPU host, a cost every pwl ``verify`` run from the shell paid.
+    """
+    return np.unique(x, return_index=True)[0]
 
 
 @dataclass(frozen=True)

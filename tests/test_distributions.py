@@ -557,6 +557,112 @@ def test_negate_mean(d):
 
 
 # --------------------------------------------------------------------------
+# each table against the loop that first built it, bit for bit
+
+
+def loop_cum(probs):
+    out = []
+    acc = 0.0
+    for p in probs:
+        acc += p
+        out.append(acc)
+    out[-1] = 1.0  # guard cumulative roundoff; probs sum to 1 within PROB_TOL
+    return tuple(out)
+
+
+def loop_quantile_prefix(values, cum):
+    out = [0.0]
+    total = prev = 0.0
+    for v, c in zip(values, cum):
+        if c > prev:
+            total += v * (c - prev)
+        out.append(total)
+        prev = c
+    return out
+
+
+def loop_cdf_prefix(values, cum):
+    out = [0.0]
+    for i in range(1, len(values)):
+        out.append(out[-1] + cum[i - 1] * (values[i] - values[i - 1]))
+    return out
+
+
+def loop_trapezoid_sums(xs, ys):
+    out = [0.0]
+    for k in range(1, len(xs)):
+        out.append(out[-1] + (xs[k] - xs[k - 1]) * (ys[k - 1] + ys[k]) * 0.5)
+    return out
+
+
+def hexes(xs):
+    return [float(x).hex() for x in xs]
+
+
+TABLE_PRIORS = {
+    "one-atom": DiscreteDistribution.from_atoms([(0.3, 1.0)]),
+    "one-atom-at-minus-zero": DiscreteDistribution.from_atoms([(-0.0, 1.0)]),
+    "dirichlet-4096": seeded_discrete(4096),
+    "dirichlet-4095-negative": seeded_discrete(4095, -3.0),
+    # a mass of 1e-300 adds nothing to a running sum of 0.3, and one after the
+    # sum reaches 1 (kept when built directly): cum repeats a value
+    "tiny-mass-inside": DiscreteDistribution.from_atoms([(0.1, 0.3), (0.2, 1e-300), (0.4, 0.7)]),
+    "tiny-mass-past-one": DiscreteDistribution(values=(0.1, 0.5, 0.9), probs=(0.5, 0.5, 1e-300)),
+    "negative-and-minus-zero": DiscreteDistribution.from_atoms([(-2.0, 0.25), (-0.0, 0.25), (-1e-300, 0.25), (1.5, 0.25)]),
+    # the first term -1e-300 * 1e-300 underflows to -0.0, and the sums start from 0.0
+    "underflowing-first-term": DiscreteDistribution(values=(-1e-300, 1.0), probs=(1e-300, 1.0)),
+    # built directly, masses past 1 make cum fall, and a NaN mass makes it NaN: no rise, nothing added
+    "cum-falls": DiscreteDistribution(values=(0.0, 1.0, 2.0), probs=(0.5, 0.7, 0.1)),
+    "nan-mass": DiscreteDistribution(values=(0.0, 1.0, 2.0), probs=(0.5, math.nan, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PRIORS))
+def test_discrete_tables_match_their_loops_bit_for_bit(name):
+    d = TABLE_PRIORS[name]
+    cum = loop_cum(d.probs)
+    assert hexes(d.cum) == hexes(cum)
+    assert hexes(d._quantile_prefix) == hexes(loop_quantile_prefix(d.values, cum))
+    assert hexes(d._cdf_prefix) == hexes(loop_cdf_prefix(d.values, cum))
+    # the negation, as it was built: values and masses reversed, cum from complements
+    neg = d.negate()
+    values = tuple(-v for v in reversed(d.values))
+    probs = tuple(reversed(d.probs))
+    neg_cum = tuple(1.0 - c for c in reversed(cum[:-1])) + (1.0,)
+    assert (hexes(neg.values), hexes(neg.probs), hexes(neg.cum)) == (hexes(values), hexes(probs), hexes(neg_cum))
+    assert hexes(neg._values_arr) == hexes(values) and hexes(neg._probs_arr) == hexes(probs)
+    assert hexes(neg._cum_arr) == hexes(neg_cum) and hexes(neg._cum_padded) == hexes((0.0, *neg_cum))
+    assert hexes(neg._quantile_prefix) == hexes(loop_quantile_prefix(values, neg_cum))
+    assert hexes(neg._cdf_prefix) == hexes(loop_cdf_prefix(values, neg_cum))
+
+
+PWL_TABLE_PRIORS = {
+    "uniform": uniform(0.0, 1.0),
+    "point-as-pwl": PiecewiseLinearDistribution.from_knots([(0.0, -0.0), (1.0, -0.0)]),
+    "flat-runs": STEP_PWL,
+    "minus-zero": PiecewiseLinearDistribution.from_knots([(0.0, -1.0), (0.5, -0.0), (0.75, 0.0), (1.0, 2.0)]),
+    "random-4096": PiecewiseLinearDistribution.from_knots(
+        zip(
+            np.linspace(0.0, 1.0, 4096).tolist(),
+            np.floor(np.sort(np.random.default_rng(4096).uniform(-1.0, 1.0, 4096)) * 1024).tolist(),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PWL_TABLE_PRIORS))
+def test_pwl_tables_match_their_loops_bit_for_bit(name):
+    d = PWL_TABLE_PRIORS[name]
+    assert hexes(d._quantile_prefix) == hexes(loop_trapezoid_sums(d.qs, d.vals))
+    assert hexes(d._cdf_prefix) == hexes(loop_trapezoid_sums(d.vals, d.qs))
+    neg = d.negate()
+    qs = tuple(1.0 - q for q in reversed(d.qs))
+    vals = tuple(-v for v in reversed(d.vals))
+    assert (hexes(neg.qs), hexes(neg.vals)) == (hexes(qs), hexes(vals))
+    assert hexes(neg._quantile_prefix) == hexes(loop_trapezoid_sums(qs, vals))
+
+
+# --------------------------------------------------------------------------
 # inverse-transform sampling frequencies
 
 

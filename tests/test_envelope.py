@@ -33,6 +33,7 @@ from tradegains import (
 from tradegains.distributions import BuyerEnvelope
 
 from conftest import LAMBDA_GRID, budget, random_pwl
+from test_distributions import seeded_discrete
 from test_hostile import CORPUS
 
 
@@ -449,19 +450,60 @@ ATOM_COUNTS = (*range(1, 17), 24, 32, 48, 64, 96, 128, 255, 256, 257, 384, 512, 
 PARALLEL_UNDERFLOW = DiscreteDistribution.from_atoms([(0.0, 1e-300), (1e-30, 1e-320), (1.0, 1.0)])
 
 
-@pytest.mark.parametrize("negate", (False, True), ids=("as-is", "negated"))
-@pytest.mark.parametrize(
-    "prior",
+#: Built directly, a mass of 1e-300 after the running sum reaches 1: cum
+#: saturates at 1.0 one atom early, and the last knot's line is parallel to
+#: the one before it.
+SATURATING = DiscreteDistribution(values=(0.1, 0.5, 0.9), probs=(0.5, 0.5, 1e-300))
+
+
+ENVELOPE_PRIORS = (
     SELLERS
     + hostile_priors()
     + [pytest.param(canonical_uniform_instance(atoms).buyer, id=f"canonical-{atoms}") for atoms in ATOM_COUNTS]
+    + [
+        pytest.param(seeded_discrete(atoms, offset), id=f"dirichlet-{atoms}")
+        for atoms, offset in ((2047, -1.0), (2048, 0.0), (2049, -0.5))
+    ]
     + [pytest.param(getattr(equal_revenue_instance(201), side), id=f"equal-revenue-200-{side}") for side in ("buyer", "seller")]
-    + [pytest.param(PARALLEL_UNDERFLOW, id="parallel-underflow")],
+    + [pytest.param(PARALLEL_UNDERFLOW, id="parallel-underflow"), pytest.param(SATURATING, id="saturating")]
+    # a pwl point mass has no segment: its envelope is the lines-only sweep's
+    + [pytest.param(PiecewiseLinearDistribution.from_knots([(0.0, 0.5), (1.0, 0.5)]), id="pwl-point")]
 )
+
+
+@pytest.mark.parametrize("negate", (False, True), ids=("as-is", "negated"))
+@pytest.mark.parametrize("prior", ENVELOPE_PRIORS)
 def test_envelope_matches_the_reference_sweep_bit_for_bit(prior, negate):
     if negate:
         prior = prior.negate()
     assert hexed(distributions._buyer_envelope(prior)) == hexed(reference_envelope(prior))
+
+
+def reference_columns(envelope):
+    """``BuyerEnvelope.columns`` as first written: a row per entry, transposed."""
+    inf = math.inf
+    slots = max(len(fixed) for fixed, *_ in envelope.entries)
+    pad = (inf, 1.0) * slots
+    rows = [
+        (*(f for knot in fixed for f in knot), *pad[2 * len(fixed) :], lo, hi, r)
+        for fixed, lo, hi, r in envelope.entries
+    ]
+    blank = (*pad, inf, inf, 0.0)
+    table = np.array(list(zip(blank, *rows, blank)))
+    price, trade = table[0 : 2 * slots : 2], table[1 : 2 * slots : 2]
+    return np.asarray(envelope.starts), price, trade, *table[2 * slots :]
+
+
+@pytest.mark.parametrize("negate", (False, True), ids=("as-is", "negated"))
+@pytest.mark.parametrize("prior", ENVELOPE_PRIORS)
+def test_envelope_columns_match_the_reference_bit_for_bit(prior, negate):
+    if negate:
+        prior = prior.negate()
+    columns = prior.buyer_envelope.columns
+    want = reference_columns(prior.buyer_envelope)
+    assert [c.shape for c in columns] == [c.shape for c in want]
+    assert [[x.hex() for x in c.ravel().tolist()] for c in columns] == [[x.hex() for x in c.ravel().tolist()] for c in want]
+    assert not any(c.flags.writeable for c in columns)
 
 
 def test_envelope_reads_trade_probabilities_off_the_prior(monkeypatch):

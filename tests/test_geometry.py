@@ -384,6 +384,52 @@ def test_verify_bounds_lambda_domain():
         verify_bounds(UU, 1.0)
 
 
+def two_pass_probe_values(buyer):
+    """The probe values of a pwl buyer as first written, with two ``sorted(set(...))`` passes."""
+    ts = sorted(set(buyer.qs) | {i / 128 for i in range(129)})
+    return np.asarray(sorted(set(buyer.quantile_many(np.asarray(ts)).tolist())))
+
+
+PROBE_BUYERS = {
+    # its quantile at q = 0.4765625 rounds 1 ulp above its value at the next knot, q = 0.47656250000000006
+    "out-of-order-at-a-knot": PiecewiseLinearDistribution.from_knots(
+        [
+            (0.0, 0.08968263211555216),
+            (0.13311176826374685, 0.22788588108147803),
+            (0.47656250000000006, 0.5990632058645813),
+            (1.0, 0.8956961356101147),
+        ]
+    ),
+    "top-minus-zero": PiecewiseLinearDistribution.from_knots([(0.0, -1.0), (1.0, -0.0)]),
+    # a flat run from -0.0 to 0.0: the probes inside it read 0.0, the run's first knot -0.0
+    "minus-zero-then-zero": PiecewiseLinearDistribution.from_knots([(0.0, -1.0), (0.5, -0.0), (1.0, 0.0)]),
+    "point-at-minus-zero": PiecewiseLinearDistribution.from_knots([(0.0, -0.0), (1.0, -0.0)]),
+    "zero-then-minus-zero-knots": PiecewiseLinearDistribution.from_knots([(0.0, -0.0), (0.5, 0.0), (1.0, 1.0)]),
+}
+
+
+def test_a_probe_value_out_of_order_is_sorted():
+    d = PROBE_BUYERS["out-of-order-at-a-knot"]
+    ts = np.unique(np.concatenate((d._qs_arr, geometry._PROBE_QS)))
+    assert (np.diff(d.quantile_many(ts)) < 0.0).any()
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_BUYERS))
+def test_probe_values_match_the_two_pass_version_bit_for_bit(name):
+    d = PROBE_BUYERS[name]
+    assert [x.hex() for x in geometry._probe_values(d).tolist()] == [x.hex() for x in two_pass_probe_values(d).tolist()]
+
+
+def test_probe_values_match_the_two_pass_version_on_seeded_buyers():
+    rng = np.random.default_rng(129)
+    for knots in [*range(2, 40), 200, 1000]:
+        qs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, knots - 2)), [1.0]))
+        # values rounded to a coarse grid make flat runs, and some runs sit at -0.0 or 0.0
+        vals = np.sort(np.round(rng.uniform(-1.0, 1.0, knots), int(rng.integers(0, 3))))
+        d = PiecewiseLinearDistribution.from_knots(zip(qs.tolist(), vals.tolist()))
+        assert [x.hex() for x in geometry._probe_values(d).tolist()] == [x.hex() for x in two_pass_probe_values(d).tolist()]
+
+
 @pytest.mark.parametrize("seller", [U01, COIN], ids=["pwl", "discrete"])
 def test_verify_bounds_integrates_cdf_only_at_probe_values(monkeypatch, seller):
     # a decomposition's price-space fields read the cdf's prefix table at

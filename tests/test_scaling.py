@@ -41,3 +41,18 @@ def test_sweep_table_at_1_and_19_lambdas_on_8_atoms(capsys):
     assert [cell.strip().endswith(" ms") for cell in cells] == [True, True, False]
     assert float(cells[0].split()[0]) > 0.0 and float(cells[1].split()[0]) > 0.0
     float(cells[2])  # the time per added lambda: a number, of either sign on a noisy host
+
+
+def test_build_table_at_8_atoms_and_51_knots(capsys):
+    with budget(10):
+        assert scaling.main(["--atoms", "8", "--knots", "51", "--trials", "--sweep-atoms", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("| instance | `trade_instance_from_json` | cold − warm `equilibrium` | cold build |")
+    assert header > 2  # the last table, after the discrete and equal-revenue ones
+    rows = lines[header + 2 :]
+    assert [row.split("|")[1].strip() for row in rows] == ["8 atoms", "51 knots"]
+    for row in rows:
+        cells = [cell.strip() for cell in row.strip("|").split("|")[1:]]
+        assert len(cells) == 3 and all(cell.endswith(" ms") for cell in cells)
+        assert float(cells[0].split()[0]) > 0.0
+        float(cells[1].split()[0])  # cold less warm: a number, of either sign on a noisy host

@@ -4,7 +4,7 @@
                             [--trials 10000 250000 1000000]
                             [--sweep-atoms 8 256] [--sweep-lambdas 1 19 1000] [--repeat 3]
 
-Imports ``tradegains`` from this checkout's ``src/`` and prints four
+Imports ``tradegains`` from this checkout's ``src/`` and prints five
 Markdown tables, each time the best of ``--repeat`` wall times:
 
 * discrete x discrete instances with uniform values and Dirichlet(1)
@@ -21,7 +21,11 @@ Markdown tables, each time the best of ``--repeat`` wall times:
 * ``tradegains sweep`` through ``cli.run``, loading and printing included,
   on the discrete instances of the first table written to a file: ms per
   call at each lambda count (one lambda is 0.31784, more span 0.05:0.95),
-  and the microseconds each lambda beyond the smallest count adds.
+  and the microseconds each lambda beyond the smallest count adds;
+* the cold build of each instance of the first two tables: loading its
+  JSON object with ``trade_instance_from_json``, and what a first
+  ``equilibrium`` builds (cumulative and prefix tables, negations,
+  envelopes) as its best time less a second call's.
 
 An empty list skips its table. Every timed call gets a freshly built
 instance, so no prior's caches are warm; building it is not timed.
@@ -54,6 +58,7 @@ from tradegains import (  # noqa: E402
     equilibrium,
     simulate_mechanism,
     sweep_bounds,
+    trade_instance_from_json,
     trade_instance_to_json,
     uniform,
     verify_bounds,
@@ -188,6 +193,28 @@ def sweep_table(atom_counts, lambda_counts, repeat: int) -> list[str]:
     return lines
 
 
+def build_table(atom_counts, knot_counts, repeat: int) -> list[str]:
+    lines = [
+        "| instance | `trade_instance_from_json` | cold − warm `equilibrium` | cold build |",
+        "| --- | --- | --- | --- |",
+    ]
+    builds = [(f"{n:,} atoms", lambda i, n=n: discrete_instance(n, i)) for n in atom_counts]
+    builds += [(f"{n:,} knots", lambda i, n=n: equal_revenue_instance(n)) for n in knot_counts]
+    for label, build in builds:
+        load = cold = warm = math.inf
+        for i in range(repeat):
+            obj = trade_instance_to_json(build(i))
+            start = time.perf_counter()
+            instance = trade_instance_from_json(obj)
+            loaded = time.perf_counter()
+            equilibrium(instance)
+            solved = time.perf_counter()
+            equilibrium(instance)
+            load, cold, warm = min(load, loaded - start), min(cold, solved - loaded), min(warm, time.perf_counter() - solved)
+        lines.append(f"| {label} | {ms(load)} | {ms(cold - warm)} | {ms(load + cold - warm)} |")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--atoms", type=int, nargs="*", default=[8, 32, 128, 512, 2048])
@@ -209,6 +236,8 @@ def main(argv=None) -> int:
         print("\n" + "\n".join(montecarlo_table(args.trials, args.repeat)))
     if args.sweep_atoms and args.sweep_lambdas:
         print("\n" + "\n".join(sweep_table(args.sweep_atoms, args.sweep_lambdas, args.repeat)))
+    if args.atoms or args.knots:
+        print("\n" + "\n".join(build_table(args.atoms, args.knots, args.repeat)))
     return 0
 
 
