@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 
@@ -29,20 +30,21 @@ from .ratio import ratio_bound  # noqa: F401
 from .ratio import guarantee_check, optimize_lambda
 from .search import SearchConfig, worst_case_search
 
-SWEEP_COLUMNS = (
-    "lambda",
-    "fb",
-    "u_B",
-    "u_S",
-    "E_area_A",
-    "E_u_S_geom",
-    "ratio_bound",
-    "slack_identity",
-    "slack_area_log",
-    "slack_avg",
-    "slack_avg_swap",
-    "slack_gft_floor",
-)
+#: Each sweep column before the slacks, and the ``BoundReport`` field it prints.
+_SWEEP_FIELDS = {
+    "lambda": "lam",
+    "fb": "fb",
+    "u_B": "u_buyer",
+    "u_S": "u_seller",
+    "E_area_A": "mean_area_A",
+    "E_u_S_geom": "mean_u_S_geom",
+    "ratio_bound": "ratio_bound",
+}
+#: The slacks the sweep prints, each as the column ``slack_<name>``.
+_SWEEP_SLACKS = ("identity", "area_log", "avg", "avg_swap", "gft_floor")
+SWEEP_COLUMNS = (*_SWEEP_FIELDS, *(f"slack_{name}" for name in _SWEEP_SLACKS))
+_FIELD_VALUES = operator.attrgetter(*_SWEEP_FIELDS.values())
+_SLACK_VALUES = operator.itemgetter(*_SWEEP_SLACKS)
 
 
 class _ArgumentError(Exception):
@@ -104,7 +106,10 @@ def _build_parser() -> _Parser:
 
 def _load_instance(path: str) -> TradeInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # json's decoder recurses once per nested array or object
+            raise ValidationError([f"{path}: JSON nested too deeply to read"]) from None
     return trade_instance_from_json(data)
 
 
@@ -131,20 +136,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_row(report) -> dict:
-    return {
-        "lambda": report.lam,
-        "fb": report.fb,
-        "u_B": report.u_buyer,
-        "u_S": report.u_seller,
-        "E_area_A": report.mean_area_A,
-        "E_u_S_geom": report.mean_u_S_geom,
-        "ratio_bound": report.ratio_bound,
-        "slack_identity": report.slacks["identity"],
-        "slack_area_log": report.slacks["area_log"],
-        "slack_avg": report.slacks["avg"],
-        "slack_avg_swap": report.slacks["avg_swap"],
-        "slack_gft_floor": report.slacks["gft_floor"],
-    }
+    return dict(zip(SWEEP_COLUMNS, _FIELD_VALUES(report) + _SLACK_VALUES(report.slacks)))
 
 
 def _format_csv(rows: list[dict]) -> str:

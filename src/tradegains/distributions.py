@@ -936,7 +936,10 @@ def _normalize_atoms(atoms, columns=None) -> tuple[list[str], tuple | None]:
         if problems:
             return problems, None
         values, probs = columns
-    total = math.fsum(probs)
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # the exact sum is past the largest float: it is not 1
+        total = math.inf
     if abs(total - 1.0) > PROB_TOL:
         return [f"probabilities sum != 1 (got {total!r})"], None
     # cum sums the masses left to right and gives the atoms after the one

@@ -25,7 +25,7 @@ best-response optimality of the equilibrium prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,10 @@ from .distributions import (
 )
 from .errors import DomainError
 from .mechanism import (
+    _UNPRINTED,
     EquilibriumReport,
     TradeInstance,
+    _Report,
     _buyer_proposer_side,
     _check_value,
     buyer_best_response,
@@ -52,7 +54,7 @@ from .ratio import _check_lambda, _check_slacks, _log_inverse, _ratio_from_log
 
 
 @dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Report):
     """All fixed-v geometric quantities at one scaling parameter."""
 
     v: float
@@ -66,21 +68,6 @@ class Decomposition:
     u_S_geom: float
     u_B_dev: float
     u_B_opt: float
-
-    def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "lambda": self.lam,
-            "x_v": self.x_v,
-            "b_lambda": self.b_lambda,
-            "fb_v": self.fb_v,
-            "area_S": self.area_S,
-            "area_B": self.area_B,
-            "area_A": self.area_A,
-            "u_S_geom": self.u_S_geom,
-            "u_B_dev": self.u_B_dev,
-            "u_B_opt": self.u_B_opt,
-        }
 
 
 def decompose_fixed_v(v: float, seller: Distribution, lam: float) -> Decomposition:
@@ -220,7 +207,7 @@ def _sorted_set(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AggregateDecomposition:
+class AggregateDecomposition(_Report):
     """Expectations of the fixed-v decomposition over the buyer prior."""
 
     lam: float
@@ -231,18 +218,6 @@ class AggregateDecomposition:
     u_S_geom: float
     u_B_dev: float
     u_B_opt: float
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "fb": self.fb,
-            "area_S": self.area_S,
-            "area_B": self.area_B,
-            "area_A": self.area_A,
-            "u_S_geom": self.u_S_geom,
-            "u_B_dev": self.u_B_dev,
-            "u_B_opt": self.u_B_opt,
-        }
 
 
 def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDecomposition:
@@ -262,7 +237,7 @@ def aggregate_decomposition(instance: TradeInstance, lam: float) -> AggregateDec
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """Aggregate quantities and signed slacks of the proven bounds.
 
     Slack names (all non-negative up to tolerance, except ``identity``
@@ -289,20 +264,8 @@ class BoundReport:
     u_seller: float
     mean_area_A: float
     mean_u_S_geom: float
-    ratio_bound: float
+    ratio_bound: float = field(metadata=_UNPRINTED)
     slacks: dict[str, float]
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "fb": self.fb,
-            "gft": self.gft,
-            "u_buyer": self.u_buyer,
-            "u_seller": self.u_seller,
-            "mean_area_A": self.mean_area_A,
-            "mean_u_S_geom": self.mean_u_S_geom,
-            "slacks": dict(self.slacks),
-        }
 
 
 def verify_bounds(instance: TradeInstance, lam: float) -> BoundReport:

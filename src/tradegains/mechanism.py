@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,30 @@ from .distributions import (
     expect,
 )
 from .errors import DomainError, ValidationError
+
+
+#: The ``dataclasses.field`` metadata of a report field that ``to_json`` leaves out.
+_UNPRINTED = {"printed": False}
+
+
+class _Report:
+    """A report dataclass whose JSON form is its fields in declaration order.
+
+    ``lam`` is printed as ``lambda``, a nested report as its own JSON and a
+    dict as a copy; a field declared with ``metadata=_UNPRINTED`` is left out.
+    """
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            if f.metadata.get("printed", True):
+                value = getattr(self, f.name)
+                if isinstance(value, _Report):
+                    value = value.to_json()
+                elif isinstance(value, dict):
+                    value = dict(value)
+                out["lambda" if f.name == "lam" else f.name] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -65,7 +89,7 @@ class BestResponse:
 
 
 @dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(_Report):
     """Expected utilities and gains from trade of the best-response equilibrium."""
 
     u_buyer: float
@@ -74,16 +98,6 @@ class EquilibriumReport:
     gft_seller_proposes: float
     gft: float
     fb: float
-
-    def to_json(self) -> dict:
-        return {
-            "u_buyer": self.u_buyer,
-            "u_seller": self.u_seller,
-            "gft_buyer_proposes": self.gft_buyer_proposes,
-            "gft_seller_proposes": self.gft_seller_proposes,
-            "gft": self.gft,
-            "fb": self.fb,
-        }
 
 
 def acceptance_prob(seller: Distribution, p: float) -> float:

@@ -17,14 +17,14 @@ mechanism's outcome are read off them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution
 from .errors import _check_integer
-from .mechanism import TradeInstance, buyer_best_response_many, role_swap
+from .mechanism import _UNPRINTED, TradeInstance, _Report, buyer_best_response_many, role_swap
 # unused here, kept importable: the benchmark's traced runs wrap these names
 from .mechanism import buyer_best_response, seller_best_response  # noqa: F401
 
@@ -56,16 +56,13 @@ def _uniforms(seed: int, start: int, count: int, draw: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimEstimate:
+class SimEstimate(_Report):
     """Sample mean with its standard error."""
 
     mean: float
     stderr: float
     trials: int
     seed: int
-
-    def to_json(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "trials": self.trials, "seed": self.seed}
 
 
 def _estimate(samples: np.ndarray, seed: int) -> SimEstimate:
@@ -145,7 +142,7 @@ def _draw(dist: Distribution, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class MechanismSimReport:
+class MechanismSimReport(_Report):
     """Estimates from simulating the random proposer mechanism."""
 
     gft: SimEstimate
@@ -153,17 +150,8 @@ class MechanismSimReport:
     u_seller: SimEstimate
     trials: int
     seed: int
-    #: first best ``E[(v - c)^+]`` over the same draws; not part of ``to_json``
-    fb: SimEstimate
-
-    def to_json(self) -> dict:
-        return {
-            "gft": self.gft.to_json(),
-            "u_buyer": self.u_buyer.to_json(),
-            "u_seller": self.u_seller.to_json(),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+    #: first best ``E[(v - c)^+]`` over the same draws
+    fb: SimEstimate = field(metadata=_UNPRINTED)
 
 
 def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> MechanismSimReport:

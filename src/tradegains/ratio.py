@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InvariantViolation
+from .mechanism import _Report
 from .mechanism import equilibrium  # noqa: F401  # unused, kept: traced benchmark runs wrap it
 
 #: Tolerance of every proven identity and inequality, relative to max(1, |fb|).
@@ -62,19 +63,12 @@ def _ratio_from_log(lam: float, log_term: float) -> float:
 
 
 @dataclass(frozen=True)
-class LambdaOptimum:
+class LambdaOptimum(_Report):
     """Optimal scaling parameter and the ratio it certifies."""
 
     lambda_star: float
     ratio_star: float
     stationarity_residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star,
-            "ratio_star": self.ratio_star,
-            "stationarity_residual": self.stationarity_residual,
-        }
 
 
 def optimize_lambda(tol: float = 1e-12) -> LambdaOptimum:
@@ -131,14 +125,11 @@ def default_optimum() -> LambdaOptimum:
 
 
 @dataclass(frozen=True)
-class GuaranteeMargins:
+class GuaranteeMargins(_Report):
     """Non-negative margins of the two end-to-end guarantees."""
 
     margin_315: float
     margin_4: float
-
-    def to_json(self) -> dict:
-        return {"margin_315": self.margin_315, "margin_4": self.margin_4}
 
 
 def guarantee_check(eq) -> GuaranteeMargins:

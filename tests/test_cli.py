@@ -1,5 +1,6 @@
 """CLI: dispatch, exit codes, deterministic serialization."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tradegains
 import tradegains.cli as cli
 import tradegains.geometry as geometry
 import tradegains.ratio as ratio
 import tradegains.search as search
-from tradegains.errors import InvariantViolation
+from tradegains.distributions import DiscreteDistribution, validate
+from tradegains.errors import InvariantViolation, ValidationError
 
 from conftest import NON_NUMBER_SUGAR, strict_json
 
@@ -311,6 +314,30 @@ def test_a_buyer_prior_whose_own_span_overflows_exits_one_with_one_line(capsys, 
     assert captured.err == "error: buyer: the value span -1e+308 .. 1e+308 of the prior overflows a float\n"
 
 
+def test_masses_whose_sum_overflows_a_float_are_refused_as_not_summing_to_one(capsys, tmp_path):
+    atoms = [{"value": 0.0, "prob": 1e308}, {"value": 1.0, "prob": 1e308}]
+    problem = "probabilities sum != 1 (got inf)"
+    with pytest.raises(ValidationError) as err:
+        DiscreteDistribution.from_atoms([(a["value"], a["prob"]) for a in atoms])
+    assert err.value.problems == (problem,)
+    assert validate({"kind": "discrete", "atoms": atoms}).problems == (problem,)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"buyer": {"kind": "discrete", "atoms": atoms}, "seller": UU_JSON["seller"]}))
+    assert cli.run(["eq", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: buyer: {problem}\n"
+
+
+def test_an_instance_file_nested_too_deeply_exits_one_with_one_line(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.run(["eq", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply to read\n"
+
+
 def test_non_utf8_file_exits_one(capsys, tmp_path):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -426,3 +453,73 @@ def test_writer_leaves_json_its_own_text_and_errors(monkeypatch):
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     payload = {"a": [1.5, {"b": -0.0}], "c": math.nan}
     assert cli.dumps_indented(payload) == json.dumps(payload, indent=2)
+
+
+# --------------------------------------------------------------------------
+# printed keys
+
+
+ESTIMATE_KEYS = ["mean", "stderr", "trials", "seed"]
+SLACK_KEYS = ["identity", "area_log", "avg", "avg_swap", "gft_floor", "buyer_scale_min", "seller_scale_min"]
+VERIFY_KEYS = ["lambda", "fb", "gft", "u_buyer", "u_seller", "mean_area_A", "mean_u_S_geom", "slacks", "margin_315", "margin_4"]
+DECOMPOSE_KEYS = ["area_S", "area_B", "area_A", "u_S_geom", "u_B_dev", "u_B_opt"]
+SWEEP_KEYS = [
+    "lambda", "fb", "u_B", "u_S", "E_area_A", "E_u_S_geom", "ratio_bound",
+    "slack_identity", "slack_area_log", "slack_avg", "slack_avg_swap", "slack_gft_floor",
+]
+
+
+def test_every_command_prints_its_keys_in_order(capsys, uu_path):
+    def printed(argv):
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        return payload
+
+    assert list(printed(["fb", "--instance", uu_path])) == ["fb"]
+    assert list(printed(["eq", "--instance", uu_path])) == [
+        "u_buyer", "u_seller", "gft_buyer_proposes", "gft_seller_proposes", "gft", "fb",
+    ]
+    assert list(printed(["decompose", "--instance", uu_path, "--lambda", "0.5", "--v", "0.7"])) == [
+        "v", "lambda", "x_v", "b_lambda", "fb_v", *DECOMPOSE_KEYS,
+    ]
+    assert list(printed(["decompose", "--instance", uu_path, "--lambda", "0.5"])) == ["lambda", "fb", *DECOMPOSE_KEYS]
+    assert list(printed(["lambda-opt"])) == ["lambda_star", "ratio_star", "stationarity_residual"]
+
+    simulate = printed(["simulate", "--instance", uu_path, "--trials", "100", "--seed", "1"])
+    assert list(simulate) == ["fb", "mechanism"]
+    assert list(simulate["fb"]) == ESTIMATE_KEYS
+    assert list(simulate["mechanism"]) == ["gft", "u_buyer", "u_seller", "trials", "seed"]
+    for name in ("gft", "u_buyer", "u_seller"):
+        assert list(simulate["mechanism"][name]) == ESTIMATE_KEYS
+
+    found = printed(["search", "--atoms", "2", "--iters", "2", "--restarts", "1", "--seed", "3"])
+    assert list(found) == ["best_ratio", "best_instance", "trace", "evaluations"]
+    assert list(found["best_instance"]) == ["buyer", "seller"]
+
+    for lam, slacks in (("0.5", [*SLACK_KEYS, "quarter"]), ("0.31784", SLACK_KEYS)):
+        verify = printed(["verify", "--instance", uu_path, "--lambda", lam])
+        assert list(verify) == VERIFY_KEYS
+        assert list(verify["slacks"]) == slacks
+
+    rows = printed(["sweep", "--instance", uu_path, "--lambda-grid", "0.25:0.5:2"])
+    assert [list(row) for row in rows] == [SWEEP_KEYS, SWEEP_KEYS]
+    assert cli.run(["sweep", "--instance", uu_path, "--lambda-grid", "0.25:0.5:2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(SWEEP_KEYS)
+
+
+#: Exported dataclasses whose printed form is not their fields in order.
+OWN_TO_JSON = {"SearchResult", "DiscreteDistribution", "PiecewiseLinearDistribution"}
+
+
+def test_every_exported_report_prints_through_the_shared_to_json():
+    from tradegains.mechanism import _Report
+
+    printing = {
+        name for name in tradegains.__all__
+        if dataclasses.is_dataclass(obj := getattr(tradegains, name)) and hasattr(obj, "to_json")
+    }
+    assert OWN_TO_JSON <= printing
+    for name in printing - OWN_TO_JSON:
+        assert getattr(tradegains, name).to_json is _Report.to_json, name
+    for name in OWN_TO_JSON:
+        assert getattr(tradegains, name).to_json is not _Report.to_json, name
