@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter, le, lt, neg, sub, truediv
@@ -159,6 +159,9 @@ class Distribution:
     """
 
     kind: str
+    #: The JSON form: the key of the list of atoms or knots, and each entry's
+    #: two keys, in the order of the class's two fields.
+    _json_form: tuple[str, tuple[str, str]]
 
     # -- scalar evaluation -------------------------------------------------
 
@@ -265,7 +268,9 @@ class Distribution:
         return self._negation
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        list_key, (first, second) = self._json_form
+        columns = (getattr(self, f.name) for f in fields(self))
+        return {"kind": self.kind, list_key: [{first: a, second: b} for a, b in zip(*columns)]}
 
     # -- vectorized evaluation (``cdf_many`` mirrors the scalar ``cdf`` exactly) --
 
@@ -293,14 +298,11 @@ class DiscreteDistribution(Distribution):
     probs: tuple[float, ...]
 
     kind = "discrete"
+    _json_form = "atoms", ("value", "prob")
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "DiscreteDistribution":
-        problems, normalized = _normalize_atoms(atoms)
-        if problems:
-            raise ValidationError(problems)
-        values, probs = normalized
-        return cls(values=values, probs=probs)
+        return _build(cls, atoms)
 
     @_cached
     def cum(self) -> tuple[float, ...]:
@@ -381,12 +383,6 @@ class DiscreteDistribution(Distribution):
         mirror.__dict__["cum"] = (*map(sub, repeat(1.0), islice(reversed(self.cum), 1, None)), 1.0)
         return mirror
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "discrete",
-            "atoms": [{"value": v, "prob": p} for v, p in zip(self.values, self.probs)],
-        }
-
     def quantile_many(self, q: np.ndarray) -> np.ndarray:
         idx = self._cum_arr.searchsorted(_check_prob_many(q), side="left")
         return self._values_arr[np.minimum(idx, len(self.values) - 1)]
@@ -425,14 +421,11 @@ class PiecewiseLinearDistribution(Distribution):
     vals: tuple[float, ...]
 
     kind = "pwl"
+    _json_form = "knots", ("q", "value")
 
     @classmethod
     def from_knots(cls, knots: Iterable[tuple[float, float]]) -> "PiecewiseLinearDistribution":
-        problems, normalized = _normalize_knots(knots)
-        if problems:
-            raise ValidationError(problems)
-        qs, vals = normalized
-        return cls(qs=qs, vals=vals)
+        return _build(cls, knots)
 
     @_cached
     def _qs_arr(self) -> np.ndarray:
@@ -514,12 +507,6 @@ class PiecewiseLinearDistribution(Distribution):
         return PiecewiseLinearDistribution(
             qs=tuple(map(sub, repeat(1.0), reversed(self.qs))), vals=tuple(map(neg, reversed(self.vals)))
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "pwl",
-            "knots": [{"q": q, "value": v} for q, v in zip(self.qs, self.vals)],
-        }
 
     @_cached
     def _steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -678,8 +665,6 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
         return _line_envelope(knots, dist.cum)
     qs, vals = dist.qs, dist.vals
     xs = [q for q, v, w in zip(qs, vals, vals[1:]) if v != w] + [qs[-1]]
-    if not segments:  # a point mass
-        return _line_envelope(knots, xs)
     lefts = [q for q, u, v in zip(qs[1:], vals, vals[1:]) if u != v]
     # curve of each candidate as a function of v: the line (v - pa) * xa below
     # lo, the parabola 0.25 * slope * (v + r)**2 on [lo, hi] and the line
@@ -694,20 +679,10 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
     stack: list[int] = []
     starts: list[float] = []
     for i, c in enumerate(curves):
-        pc, xc, knot = c[0], c[1], c[4] == inf
         w = -inf
         while stack:
             j = stack[-1]
-            t = curves[j]
-            if knot and t[4] == inf:
-                # two knots, lines throughout: _line_overtakes on (-inf, inf)
-                xt = t[1]
-                if xc > xt:
-                    w = pc + xt * (pc - t[0]) / (xc - xt)
-                else:
-                    w = -inf if xt * (t[0] - pc) >= 0.0 else inf
-            else:
-                w = _overtakes(c, t, j == i - 1)
+            w = _overtakes(c, curves[j], j == i - 1)
             if w > starts[-1]:
                 break
             stack.pop()
@@ -771,7 +746,7 @@ def _curve_at(c: tuple, v: float) -> float:
 
 
 def _overtakes(c: tuple, t: tuple, adjacent: bool) -> float:
-    """Least ``v`` from which curve ``c`` is at least the earlier curve ``t``, a segment among them.
+    """Least ``v`` from which curve ``c`` is at least the earlier curve ``t``.
 
     ``inf`` when it never is. The difference of the two curves does not
     decrease in ``v``, so it is located between the curves' own piece ends
@@ -894,34 +869,46 @@ class ValidationReport:
         return not self.problems
 
 
-def _pair_columns(pairs: list) -> tuple[Sequence, Sequence] | None:
-    """The two columns of ``pairs`` when each is a list or tuple of length 2, else None."""
-    if not pairs or not {list, tuple}.issuperset(map(type, pairs)) or set(map(len, pairs)) != {2}:
+# Validation reads a list of atoms or knots, each a list or tuple of two or,
+# given its class's two JSON keys, an object. It checks the common case --
+# every entry two floats, in order, no value repeated -- in a few builtin
+# passes over its two columns; anything else takes the entry-by-entry pass,
+# which words each problem, sorts and merges. Past those, one tail serves both.
+
+
+def _columns(entries: list, keys: tuple[str, str] | None) -> tuple[Sequence, Sequence] | None:
+    """The two columns of ``entries``: their values at ``keys`` when every entry is a dict and ``keys`` are given, their items when every entry is a list or tuple of two, else None."""
+    types = set(map(type, entries))
+    if keys and types == {dict}:
+        return list(map(dict.get, entries, repeat(keys[0]))), list(map(dict.get, entries, repeat(keys[1])))
+    if not entries or not {list, tuple}.issuperset(types) or set(map(len, entries)) != {2}:
         return None
-    return tuple(zip(*pairs))
+    return tuple(zip(*entries))
 
 
-def _dict_columns(items: list, first: str, second: str) -> tuple[list, list] | None:
-    """``item.get(first)`` and ``item.get(second)`` of each item when every item is a dict, else None."""
-    if set(map(type, items)) != {dict}:
-        return None
-    return list(map(dict.get, items, repeat(first))), list(map(dict.get, items, repeat(second)))
+def _entry_pairs(entries: list, keys: tuple[str, str] | None) -> Iterable:
+    """The entries for the entry-by-entry pass, a dict as the pair of its values at ``keys`` when they are given."""
+    if not keys:
+        return entries
+    first, second = keys
+    return ((e.get(first), e.get(second)) if isinstance(e, dict) else e for e in entries)
 
 
-# Validation checks the common case -- every entry two floats, in order, no
-# value repeated -- in a few builtin passes over its two columns; anything
-# else takes the entry-by-entry pass, which words each problem, sorts and
-# merges. Past those, one tail serves both.
+def _build(cls: type, entries: Iterable, keys: tuple[str, str] | None = None) -> Distribution:
+    """The prior of class ``cls`` with these atoms or knots, read at ``keys`` as for :func:`_columns`.
+
+    A :class:`ValidationError` with every problem when they are not valid.
+    """
+    normalize = _normalize_atoms if issubclass(cls, DiscreteDistribution) else _normalize_knots
+    problems, columns = normalize(list(entries), keys)
+    if problems:
+        raise ValidationError(problems)
+    return cls(*columns)
 
 
-def _normalize_atoms(atoms, columns=None) -> tuple[list[str], tuple | None]:
-    """``(problems, (values, probs))`` of raw atoms, or of the atoms whose two columns ``columns`` holds."""
-    if columns is None:
-        atoms = list(atoms)
-        columns = _pair_columns(atoms)
-    else:
-        atoms = zip(*columns)
-    values, probs = columns or ((), ())
+def _normalize_atoms(atoms: list, keys: tuple[str, str] | None) -> tuple[list[str], tuple | None]:
+    """``(problems, (values, probs))`` of raw atoms, read at ``keys`` as for :func:`_columns`."""
+    values, probs = _columns(atoms, keys) or ((), ())
     # the common case: floats only, the values finite and strictly increasing
     # (which also refuses a NaN), the masses finite and positive
     if not (
@@ -932,7 +919,7 @@ def _normalize_atoms(atoms, columns=None) -> tuple[list[str], tuple | None]:
         and all(map(math.isfinite, probs))
         and min(probs) > 0.0
     ):
-        problems, columns = _sorted_atoms(atoms)
+        problems, columns = _sorted_atoms(_entry_pairs(atoms, keys))
         if problems:
             return problems, None
         values, probs = columns
@@ -989,17 +976,11 @@ def _sorted_atoms(atoms: Iterable) -> tuple[list[str], tuple | None]:
     return [], ([v for v, _ in merged], [p for _, p in merged])
 
 
-def _normalize_knots(knots, columns=None) -> tuple[list[str], tuple | None]:
-    """``(problems, (qs, vals))`` of raw knots, or of the knots whose two columns ``columns`` holds."""
+def _normalize_knots(knots: list, keys: tuple[str, str] | None) -> tuple[list[str], tuple | None]:
+    """``(problems, (qs, vals))`` of raw knots, read at ``keys`` as for :func:`_columns`."""
+    columns = _plain_knots(*(_columns(knots, keys) or ((), ())))
     if columns is None:
-        knots = list(knots)
-        columns = _pair_columns(knots)
-    else:
-        knots = zip(*columns)
-    if columns is not None:
-        columns = _plain_knots(*columns)
-    if columns is None:
-        problems, columns = _ordered_knots(knots)
+        problems, columns = _ordered_knots(_entry_pairs(knots, keys))
         if problems:
             return problems, None
     qs, vals = columns
@@ -1102,34 +1083,14 @@ def distribution_from_json(obj) -> Distribution:
     if not isinstance(obj, dict):
         raise ValidationError([f"expected a JSON object, got {type(obj).__name__}"])
     kind = obj.get("kind")
-    if kind == "discrete":
-        atoms = obj.get("atoms")
-        if not isinstance(atoms, list):
-            raise ValidationError(["discrete distribution needs an 'atoms' list"])
-        columns = _dict_columns(atoms, "value", "prob")
-        if columns is not None:
-            problems, normalized = _normalize_atoms(None, columns)
-        else:
-            problems, normalized = _normalize_atoms(
-                (a.get("value"), a.get("prob")) if isinstance(a, dict) else a for a in atoms
-            )
-        if problems:
-            raise ValidationError(problems)
-        return DiscreteDistribution(*normalized)
-    if kind == "pwl":
-        knots = obj.get("knots")
-        if not isinstance(knots, list):
-            raise ValidationError(["pwl distribution needs a 'knots' list"])
-        columns = _dict_columns(knots, "q", "value")
-        if columns is not None:
-            problems, normalized = _normalize_knots(None, columns)
-        else:
-            problems, normalized = _normalize_knots(
-                (k.get("q"), k.get("value")) if isinstance(k, dict) else k for k in knots
-            )
-        if problems:
-            raise ValidationError(problems)
-        return PiecewiseLinearDistribution(*normalized)
+    for cls in (DiscreteDistribution, PiecewiseLinearDistribution):
+        if kind == cls.kind:  # compared, not looked up: a kind may be an unhashable list
+            list_key, keys = cls._json_form
+            entries = obj.get(list_key)
+            if not isinstance(entries, list):
+                article = "an" if list_key[0] in "aeiou" else "a"
+                raise ValidationError([f"{kind} distribution needs {article} {list_key!r} list"])
+            return _build(cls, entries, keys)
     if kind == "uniform":
         if "lo" not in obj or "hi" not in obj:
             raise ValidationError(["uniform distribution needs 'lo' and 'hi'"])

@@ -142,5 +142,5 @@ def guarantee_check(eq) -> GuaranteeMargins:
     """
     ratio_star = default_optimum().ratio_star
     margins = GuaranteeMargins(margin_315=eq.gft - eq.fb / ratio_star, margin_4=eq.gft - eq.fb / 4.0)
-    _check_slacks(margins.to_json(), eq.fb)
+    _check_slacks(vars(margins), eq.fb)
     return margins

@@ -970,6 +970,45 @@ def test_json_sugar_rejects_non_numbers(obj):
 
 
 @pytest.mark.parametrize(
+    "obj, problem",
+    [
+        ([], "expected a JSON object, got list"),
+        ({"kind": "beta"}, "unknown distribution kind 'beta'"),
+        ({"kind": ["discrete"], "atoms": [[0.0, 1.0]]}, "unknown distribution kind ['discrete']"),
+        ({"kind": "discrete"}, "discrete distribution needs an 'atoms' list"),
+        ({"kind": "discrete", "atoms": {"value": 0.0, "prob": 1.0}}, "discrete distribution needs an 'atoms' list"),
+        ({"kind": "pwl"}, "pwl distribution needs a 'knots' list"),
+        ({"kind": "pwl", "knots": "[[0, 0], [1, 1]]"}, "pwl distribution needs a 'knots' list"),
+        ({"kind": "uniform", "lo": 0.0}, "uniform distribution needs 'lo' and 'hi'"),
+        ({"kind": "point"}, "point distribution needs 'value'"),
+    ],
+    ids=[
+        "not-an-object", "unknown-kind", "unhashable-kind", "no-atoms", "atoms-not-a-list", "no-knots",
+        "knots-a-string", "uniform-without-hi", "point-without-value",
+    ],
+)
+def test_the_loader_words_each_structural_refusal(obj, problem):
+    with pytest.raises(ValidationError) as err:
+        distribution_from_json(obj)
+    assert err.value.problems == (problem,)
+
+
+def test_to_json_writes_each_prior_in_its_json_form():
+    # compared as text, so that the order of the keys counts too
+    atoms = DiscreteDistribution.from_atoms([(0.25, 0.5), (1.0, 0.5)])
+    knots = PiecewiseLinearDistribution.from_knots([(0.0, -1.0), (0.5, 0.0), (1.0, 0.0)])
+    assert json.dumps(atoms.to_json()) == json.dumps(
+        {"kind": "discrete", "atoms": [{"value": 0.25, "prob": 0.5}, {"value": 1.0, "prob": 0.5}]}
+    )
+    assert json.dumps(knots.to_json()) == json.dumps(
+        {
+            "kind": "pwl",
+            "knots": [{"q": 0.0, "value": -1.0}, {"q": 0.5, "value": 0.0}, {"q": 1.0, "value": 0.0}],
+        }
+    )
+
+
+@pytest.mark.parametrize(
     "obj, problems",
     [
         # a string is indexed character by character, a bool and a numeric string convert

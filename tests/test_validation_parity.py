@@ -225,6 +225,12 @@ def json_priors():
     priors["empty-atoms"] = {"kind": "discrete", "atoms": []}
     priors["empty-knots"] = {"kind": "pwl", "knots": []}
     priors["one-knot"] = {"kind": "pwl", "knots": [[0.0, 1.0]]}
+    # valid lists that mix objects and pairs
+    priors["atoms-mixed"] = {
+        "kind": "discrete",
+        "atoms": [{"value": 0.0, "prob": 0.25}, [0.5, 0.25], {"prob": 0.5, "value": 1.0}],
+    }
+    priors["knots-mixed"] = {"kind": "pwl", "knots": [[0.0, 0.0], {"q": 0.5, "value": 0.25}, [1.0, 1.0]]}
     return priors
 
 
