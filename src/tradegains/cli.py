@@ -262,14 +262,11 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = _dispatch(args)
-    except _ArgumentError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except ValidationError as err:
         for problem in err.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    except (DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (_ArgumentError, DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InvariantViolation as err:

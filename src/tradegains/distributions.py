@@ -869,11 +869,13 @@ class ValidationReport:
         return not self.problems
 
 
-# Validation reads a list of atoms or knots, each a list or tuple of two or,
-# given its class's two JSON keys, an object. It checks the common case --
-# every entry two floats, in order, no value repeated -- in a few builtin
-# passes over its two columns; anything else takes the entry-by-entry pass,
-# which words each problem, sorts and merges. Past those, one tail serves both.
+# Every prior is built along one path from a list of atoms or knots, each a
+# list or tuple of two or, given its class's two JSON keys, an object. A column
+# check passes the common case -- every entry two floats, in order, no value
+# repeated -- in a few builtin passes over its two columns; anything else
+# takes the entry-by-entry pass, which words each problem, sorts and merges.
+# The checks past those serve both. Each check raises a ValidationError with
+# its problems where it finds them, so each step returns only the columns.
 
 
 def _columns(entries: list, keys: tuple[str, str] | None) -> tuple[Sequence, Sequence] | None:
@@ -900,14 +902,11 @@ def _build(cls: type, entries: Iterable, keys: tuple[str, str] | None = None) ->
     A :class:`ValidationError` with every problem when they are not valid.
     """
     normalize = _normalize_atoms if issubclass(cls, DiscreteDistribution) else _normalize_knots
-    problems, columns = normalize(list(entries), keys)
-    if problems:
-        raise ValidationError(problems)
-    return cls(*columns)
+    return cls(*normalize(list(entries), keys))
 
 
-def _normalize_atoms(atoms: list, keys: tuple[str, str] | None) -> tuple[list[str], tuple | None]:
-    """``(problems, (values, probs))`` of raw atoms, read at ``keys`` as for :func:`_columns`."""
+def _normalize_atoms(atoms: list, keys: tuple[str, str] | None) -> tuple[tuple, tuple]:
+    """``(values, probs)`` of raw atoms, read at ``keys`` as for :func:`_columns`."""
     values, probs = _columns(atoms, keys) or ((), ())
     # the common case: floats only, the values finite and strictly increasing
     # (which also refuses a NaN), the masses finite and positive
@@ -919,16 +918,13 @@ def _normalize_atoms(atoms: list, keys: tuple[str, str] | None) -> tuple[list[st
         and all(map(math.isfinite, probs))
         and min(probs) > 0.0
     ):
-        problems, columns = _sorted_atoms(_entry_pairs(atoms, keys))
-        if problems:
-            return problems, None
-        values, probs = columns
+        values, probs = _sorted_atoms(_entry_pairs(atoms, keys))
     try:
         total = math.fsum(probs)
     except OverflowError:  # the exact sum is past the largest float: it is not 1
         total = math.inf
     if abs(total - 1.0) > PROB_TOL:
-        return [f"probabilities sum != 1 (got {total!r})"], None
+        raise ValidationError([f"probabilities sum != 1 (got {total!r})"])
     # cum sums the masses left to right and gives the atoms after the one
     # where that sum first reaches 1 no mass: drop them too, so that probs
     # and cum describe one prior
@@ -938,13 +934,12 @@ def _normalize_atoms(atoms: list, keys: tuple[str, str] | None) -> tuple[list[st
     # keep the given masses (rescaling would break round-trip idempotence);
     # the cumulative top is pinned to exactly 1 when cum is built
     values, probs = tuple(values), tuple(probs)
-    if not math.isfinite(values[-1] - values[0]):
-        return [_span_overflows(values[0], values[-1])], None
-    return [], (values, probs)
+    _check_span(values[0], values[-1])
+    return values, probs
 
 
-def _sorted_atoms(atoms: Iterable) -> tuple[list[str], tuple | None]:
-    """The entry-by-entry pass: every problem, or the atoms sorted by value, equal values merged left to right and zero masses dropped."""
+def _sorted_atoms(atoms: Iterable) -> tuple[list[float], list[float]]:
+    """The entry-by-entry pass: the atoms sorted by value, equal values merged left to right and zero masses dropped."""
     problems: list[str] = []
     pairs: list[tuple[float, float]] = []
     for i, atom in enumerate(atoms):
@@ -962,7 +957,7 @@ def _sorted_atoms(atoms: Iterable) -> tuple[list[str], tuple | None]:
         else:
             pairs.append((v, p))
     if problems:
-        return problems, None
+        raise ValidationError(problems)
     pairs.sort(key=lambda t: t[0])
     merged: list[list[float]] = []
     for v, p in pairs:
@@ -972,31 +967,25 @@ def _sorted_atoms(atoms: Iterable) -> tuple[list[str], tuple | None]:
             merged.append([v, p])
     merged = [[v, p] for v, p in merged if p > 0.0]
     if not merged:
-        return ["no atoms with positive probability"], None
-    return [], ([v for v, _ in merged], [p for _, p in merged])
+        raise ValidationError(["no atoms with positive probability"])
+    return [v for v, _ in merged], [p for _, p in merged]
 
 
-def _normalize_knots(knots: list, keys: tuple[str, str] | None) -> tuple[list[str], tuple | None]:
-    """``(problems, (qs, vals))`` of raw knots, read at ``keys`` as for :func:`_columns`."""
-    columns = _plain_knots(*(_columns(knots, keys) or ((), ())))
-    if columns is None:
-        problems, columns = _ordered_knots(_entry_pairs(knots, keys))
-        if problems:
-            return problems, None
-    qs, vals = columns
-    if not math.isfinite(vals[-1] - vals[0]):
-        return [_span_overflows(vals[0], vals[-1])], None
+def _normalize_knots(knots: list, keys: tuple[str, str] | None) -> tuple[tuple, tuple]:
+    """``(qs, vals)`` of raw knots, read at ``keys`` as for :func:`_columns`."""
+    qs, vals = _plain_knots(*(_columns(knots, keys) or ((), ()))) or _ordered_knots(_entry_pairs(knots, keys))
+    _check_span(vals[0], vals[-1])
     # a finite slope keeps dq / dv, by which stationary_segments divides, above 0 with 50+ bits
     dqs = list(map(sub, islice(qs, 1, None), qs))
     dvs = list(map(sub, islice(vals, 1, None), vals))
     slopes = list(map(truediv, dvs, dqs))
     if math.inf in slopes:
-        return [
+        raise ValidationError([
             f"knot {i}: segment too steep, its slope {dvs[i - 1]!r} / {dqs[i - 1]!r} overflows a float"
             for i in range(1, len(qs))
             if slopes[i - 1] == math.inf
-        ], None
-    return [], (tuple(qs), tuple(vals))
+        ])
+    return tuple(qs), tuple(vals)
 
 
 def _plain_knots(qs: Sequence, vals: Sequence) -> tuple[list, Sequence] | None:
@@ -1021,8 +1010,8 @@ def _plain_knots(qs: Sequence, vals: Sequence) -> tuple[list, Sequence] | None:
     return None
 
 
-def _ordered_knots(knots: Iterable) -> tuple[list[str], tuple | None]:
-    """The entry-by-entry pass: every problem, or the knots with the grid's ends set to 0 and 1."""
+def _ordered_knots(knots: Iterable) -> tuple[list[float], list[float]]:
+    """The entry-by-entry pass: the knots with the grid's ends set to 0 and 1."""
     problems: list[str] = []
     pairs: list[tuple[float, float]] = []
     for i, knot in enumerate(knots):
@@ -1036,9 +1025,9 @@ def _ordered_knots(knots: Iterable) -> tuple[list[str], tuple | None]:
         else:
             pairs.append((q, v))
     if problems:
-        return problems, None
+        raise ValidationError(problems)
     if len(pairs) < 2:
-        return ["need at least 2 knots"], None
+        raise ValidationError(["need at least 2 knots"])
     qs = [q for q, _ in pairs]
     vals = [v for _, v in pairs]
     if abs(qs[0]) > PROB_TOL or abs(qs[-1] - 1.0) > PROB_TOL:
@@ -1054,13 +1043,14 @@ def _ordered_knots(knots: Iterable) -> tuple[list[str], tuple | None]:
         if vals[i] < vals[i - 1]:
             problems.append(f"knot {i}: quantile not monotone ({vals[i]!r} < {vals[i - 1]!r})")
     if problems:
-        return problems, None
-    return [], (qs, vals)
+        raise ValidationError(problems)
+    return qs, vals
 
 
-def _span_overflows(lo: float, hi: float) -> str:
-    """The problem of a prior whose value span ``hi - lo`` is not a finite float, as :class:`TradeInstance` words it."""
-    return f"the value span {lo!r} .. {hi!r} of the prior overflows a float"
+def _check_span(lo: float, hi: float) -> None:
+    """Refuse a prior whose value span ``hi - lo`` is not a finite float, as :class:`TradeInstance` words it."""
+    if not math.isfinite(hi - lo):
+        raise ValidationError([f"the value span {lo!r} .. {hi!r} of the prior overflows a float"])
 
 
 def validate(data) -> ValidationReport:
@@ -1078,6 +1068,10 @@ def validate(data) -> ValidationReport:
     return ValidationReport((), dist)
 
 
+#: Each sugar kind of the JSON form, the function that builds it and the keys of that function's arguments.
+_SUGAR = (("uniform", uniform, ("lo", "hi")), ("point", point, ("value",)))
+
+
 def distribution_from_json(obj) -> Distribution:
     """Build a distribution from its JSON object form (sugar is desugared)."""
     if not isinstance(obj, dict):
@@ -1091,14 +1085,11 @@ def distribution_from_json(obj) -> Distribution:
                 article = "an" if list_key[0] in "aeiou" else "a"
                 raise ValidationError([f"{kind} distribution needs {article} {list_key!r} list"])
             return _build(cls, entries, keys)
-    if kind == "uniform":
-        if "lo" not in obj or "hi" not in obj:
-            raise ValidationError(["uniform distribution needs 'lo' and 'hi'"])
-        return uniform(obj["lo"], obj["hi"])
-    if kind == "point":
-        if "value" not in obj:
-            raise ValidationError(["point distribution needs 'value'"])
-        return point(obj["value"])
+    for sugar, build, names in _SUGAR:
+        if kind == sugar:
+            if not all(name in obj for name in names):
+                raise ValidationError([f"{sugar} distribution needs {' and '.join(map(repr, names))}"])
+            return build(*(obj[name] for name in names))
     raise ValidationError([f"unknown distribution kind {kind!r}"])
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution, Distribution
-from .errors import _check_integer
+from .errors import DomainError, _check_integer
 from .mechanism import _UNPRINTED, TradeInstance, _Report, buyer_best_response_many, role_swap
 # unused here, kept importable: the benchmark's traced runs wrap these names
 from .mechanism import buyer_best_response, seller_best_response  # noqa: F401
@@ -169,7 +169,10 @@ def simulate_mechanism(instance: TradeInstance, trials: int, seed: int) -> Mecha
 
     # each chunk writes its slice of fb and gft and appends its proposers'
     # utilities to u_b / u_s; each estimate reads the filled prefix
-    fb, gft, u_b, u_s = (np.empty(trials) for _ in range(4))
+    try:
+        fb, gft, u_b, u_s = (np.empty(trials) for _ in range(4))
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past its largest array
+        raise DomainError(f"trials must fit in memory, got {trials}") from None
     n_b = n_s = 0
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)

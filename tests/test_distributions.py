@@ -980,11 +980,15 @@ def test_json_sugar_rejects_non_numbers(obj):
         ({"kind": "pwl"}, "pwl distribution needs a 'knots' list"),
         ({"kind": "pwl", "knots": "[[0, 0], [1, 1]]"}, "pwl distribution needs a 'knots' list"),
         ({"kind": "uniform", "lo": 0.0}, "uniform distribution needs 'lo' and 'hi'"),
+        ({"kind": "uniform", "hi": 1.0}, "uniform distribution needs 'lo' and 'hi'"),
+        ({"kind": "uniform"}, "uniform distribution needs 'lo' and 'hi'"),
         ({"kind": "point"}, "point distribution needs 'value'"),
+        ({"kind": "point", "value": None}, "point value must be a number, got None"),
     ],
     ids=[
         "not-an-object", "unknown-kind", "unhashable-kind", "no-atoms", "atoms-not-a-list", "no-knots",
-        "knots-a-string", "uniform-without-hi", "point-without-value",
+        "knots-a-string", "uniform-without-hi", "uniform-without-lo", "uniform-without-either",
+        "point-without-value", "point-value-null",
     ],
 )
 def test_the_loader_words_each_structural_refusal(obj, problem):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import tradegains.cli as cli
+
 SPEC = importlib.util.spec_from_file_location("drift", Path(__file__).resolve().parent.parent / "tools" / "drift.py")
 drift = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(drift)
@@ -73,3 +75,25 @@ def test_each_seed_ends_with_long_grid_and_other_calls_on_existing_instances(tmp
         assert fixed_v[:-1] == aggregate + ["--v"]
         buyer = json.loads(Path(path).read_text())["buyer"]
         assert float(fixed_v[-1]) in [entry["value"] for entry in buyer.get("atoms") or buyer["knots"]]
+
+
+def test_each_refused_call_exits_one_with_error_lines(tmp_path, capsys):
+    calls = drift.refused_calls(tmp_path / "refused")
+    assert [name for name, _ in calls] == ["refused"] * 11
+    for _, argv in calls:
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_a_changed_error_line_is_flagged(tmp_path, monkeypatch, capsys):
+    argv = ["eq", "--instance", "bad.json"]
+    monkeypatch.setattr(drift, "refused_calls", lambda directory: [("refused", argv)] * 2)
+    monkeypatch.setattr(drift, "build_calls", lambda seeds, directory: [])
+    base = [[1, "", "error: buyer: need at least 2 knots\n"]] * 2
+    head = [base[0], [1, "", "error: buyer: need at least two knots\n"]]
+    monkeypatch.setattr(drift, "run_checkouts", lambda checkouts, argvs, directory: [base, head])
+    assert drift.main(["--base", str(drift.ROOT), "--seeds", "1"]) == 1
+    total = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("total"))
+    # calls, exit codes differing, identical, text differing, stderr differing
+    assert total.split()[1:6] == ["2", "0", "1", "0", "1"]

@@ -239,6 +239,19 @@ def test_trials_domain():
         simulate_mechanism(UU, 0, 0)
 
 
+def test_a_trial_count_past_the_address_space_is_refused(tmp_path, capsys):
+    # 10**15 trials need 7.11 PiB per array, past the address space, so
+    # nothing is allocated; a size the host could overcommit is never tried
+    trials = 10**15
+    with pytest.raises(DomainError, match=f"^trials must fit in memory, got {trials}$"):
+        simulate_mechanism(UU, trials, 0)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(trade_instance_to_json(UU)))
+    assert cli.run(["simulate", "--instance", str(path), "--trials", str(trials), "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: trials must fit in memory, got {trials}\n")
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
 def test_seed_must_be_an_integer(seed):
     with pytest.raises(DomainError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
