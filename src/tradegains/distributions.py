@@ -28,8 +28,8 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import add, itemgetter, le, lt, neg, sub, truediv
+from itertools import accumulate, islice, repeat
+from operator import le, lt, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -264,7 +264,8 @@ class Distribution:
         return _buyer_envelope(self)
 
     def negate(self) -> "Distribution":
-        """Distribution of ``-X``, built once per prior, so its caches last too."""
+        """Distribution of ``-X``, built once per prior, so its caches last too; its own negation is this prior."""
+        self._negation.__dict__["_negation"] = self  # not negated again: a discrete cum would come back 1 ulp off
         return self._negation
 
     def to_json(self) -> dict:
@@ -609,36 +610,28 @@ class BuyerEnvelope:
     ``v`` (Topkis 1978), so one envelope answers every buyer value.
 
     Entry ``i`` is on top for ``starts[i] <= v < starts[i + 1]``
-    (``starts[0]`` is ``-inf``). Each entry is ``(fixed, lo, hi, r)``:
-    ``fixed`` holds the ``(price, cdf(price))`` knots it offers (its own
-    knot, or a segment's two end knots), and a segment also offers its
-    stationary price ``0.5 * (v - r)`` for ``lo <= v <= hi`` (a knot has
-    ``lo = hi = inf``).
+    (``starts[0]`` is ``-inf``) and sits at column ``i + 1`` of the other
+    fields, behind a blank entry at each end that offers nothing. Column
+    ``k`` offers the knots ``(price[s][k], trade[s][k])``, the
+    ``(price, cdf(price))`` of its own knot or of a segment's two end knots,
+    one per slot ``s``; a slot it has no knot for holds ``(inf, 1.0)``,
+    which no finite ``v`` can post. There is a second slot only when some
+    entry is a segment. A segment also offers its stationary price
+    ``0.5 * (v - r[k])`` for ``lo[k] <= v <= hi[k]``; a knot or a blank has
+    ``lo = hi = inf`` and ``r = 0.0``.
     """
 
     starts: tuple[float, ...]
-    entries: tuple[tuple[tuple[tuple[float, float], ...], float, float, float], ...]
+    price: tuple[tuple[float, ...], ...]
+    trade: tuple[tuple[float, ...], ...]
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    r: tuple[float, ...]
 
     @_cached
     def columns(self) -> tuple[np.ndarray, ...]:
-        """``(starts, price, trade, lo, hi, r)`` as arrays, for lookups over many values.
-
-        Entry ``i`` sits at column ``i + 1``, behind a blank entry at each
-        end that offers nothing. ``price[k]`` and ``trade[k]`` hold the
-        ``k``-th fixed knot of every entry, ``(inf, 1.0)`` where it has
-        none, which no finite ``v`` can post; a blank has ``lo = hi = inf``.
-        """
-        inf = math.inf
-        blank = ((), inf, inf, 0.0)
-        fixed, lo, hi, r = zip(blank, *self.entries, blank)
-        slots = max(map(len, fixed))
-        # per slot, the knot of every entry there, (inf, 1.0) where it has none
-        pad = ((inf, 1.0),) * slots
-        knots = zip(*map(itemgetter(slice(slots)), map(add, fixed, repeat(pad))))
-        # one array, with row 2k the k-th knots' prices and row 2k + 1 their trade probabilities
-        table = _read_only(np.array([*chain.from_iterable(zip(*slot) for slot in knots), lo, hi, r]))
-        price, trade = table[0 : 2 * slots : 2], table[1 : 2 * slots : 2]
-        return _read_only(np.asarray(self.starts)), price, trade, *table[2 * slots :]
+        """``(starts, price, trade, lo, hi, r)`` as read-only arrays, for lookups over many values."""
+        return tuple(_read_only(np.array(getattr(self, f.name), dtype=float)) for f in fields(self))
 
     @_cached
     def _starts_guide(self) -> _Guide:
@@ -691,15 +684,17 @@ def _buyer_envelope(dist: Distribution) -> BuyerEnvelope:
         if w < inf:
             stack.append(i)
             starts.append(w)
-    entries = []
+    # each entry's column: its first knot; a segment's top knot at its cdf (its curve holds the
+    # left limit there), else (inf, 1.0); and lo, hi, r as on its curve
+    blank = (inf, 1.0, inf, 1.0, inf, inf, 0.0)
+    columns = [blank]
     for i in stack:
-        j, segment = divmod(i, 2)
-        if segment:
-            lo, hi, _, r = segments[j]
-            entries.append((((knots[j], xs[j]), (knots[j + 1], xs[j + 1])), lo, hi, r))
-        else:
-            entries.append((((knots[j], xs[j]),), inf, inf, 0.0))
-    return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries))
+        pa, xa, pb, _, lo, hi, r, _ = curves[i]
+        pb, xb = (pb, xs[i // 2 + 1]) if i % 2 else (inf, 1.0)
+        columns.append((pa, xa, pb, xb, lo, hi, r))
+    p0, x0, p1, x1, lo, hi, r = zip(*columns, blank)
+    slots = 2 if any(i % 2 for i in stack) else 1
+    return BuyerEnvelope(tuple(starts), (p0, p1)[:slots], (x0, x1)[:slots], lo, hi, r)
 
 
 def _line_envelope(prices: Sequence[float], xs: Sequence[float]) -> BuyerEnvelope:
@@ -731,8 +726,8 @@ def _line_envelope(prices: Sequence[float], xs: Sequence[float]) -> BuyerEnvelop
             pt, xt, start = below.pop()
     below.append((pt, xt, start))
     ps, ts, starts = zip(*below)
-    entries = zip(zip(zip(ps, ts)), repeat(inf), repeat(inf), repeat(0.0))
-    return BuyerEnvelope(starts=starts, entries=tuple(entries))
+    blank = (inf,) * (len(ps) + 2)
+    return BuyerEnvelope(starts, ((inf, *ps, inf),), ((1.0, *ts, 1.0),), blank, blank, (0.0,) * len(blank))
 
 
 def _curve_at(c: tuple, v: float) -> float:

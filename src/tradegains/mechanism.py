@@ -157,26 +157,37 @@ _ARRAY_MIN = 24
 _GUIDE_MIN = 1 << 12
 
 
+def _better(u, x, p, best_u, best_x, best_p):
+    """Whether a candidate price ``p``, earning ``u`` at trade probability ``x``, beats the best so far.
+
+    The one tie rule of every best response: the larger utility wins, then
+    the larger trade probability, then the smaller price. A candidate equal
+    to the best on all three does not replace it, so the first one stays,
+    as with ``max`` over the keys ``(u, x, -p)``. On floats it returns a
+    bool, on arrays an array of them; a NaN utility loses every comparison.
+    """
+    return (u > best_u) | ((u == best_u) & ((x > best_x) | ((x == best_x) & (p < best_p))))
+
+
 def buyer_best_response_many(
     vs: np.ndarray, seller: Distribution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Price, utility and trade probability maximizing ``(v - p) * Pr[cost <= p]`` at each ``v``.
 
-    Ties are broken toward the larger trade probability, then the smaller
-    price. When no offer can trade (``v`` below the seller's support) the
-    buyer quotes his own value and keeps utility zero. A non-finite value,
-    or values whose span with the seller's support overflows a float, raise
-    :class:`DomainError`.
+    Ties are broken by :func:`_better`. When no offer can trade (``v``
+    below the seller's support) the buyer quotes his own value and keeps
+    utility zero. A non-finite value, or values whose span with the
+    seller's support overflows a float, raise :class:`DomainError`.
 
     Only the envelope entry on top at ``v`` and its two neighbours are
     scored, so rounding in the envelope's starts cannot drop the winner.
     Their candidates, entry by entry and each entry's knots before its
-    stationary price, are folded into a running best under the key
-    ``(utility, trade probability, -price)``: a candidate replaces the best
-    only when its key is larger, so on an exact tie the first one stays, as
-    with ``max``. Below ``_ARRAY_MIN`` values the fold runs value by value;
-    from there on it runs over arrays, one candidate at a time: the knots'
-    trade probabilities come from the envelope's columns and the stationary
+    stationary price, are folded by :func:`_better` into a running best
+    that starts at that quote of ``v``. Every candidate earns at least 0,
+    so where there are candidates the fold returns the best of them.
+    Below ``_ARRAY_MIN`` values the fold runs value by value; from there on
+    it runs over arrays, one candidate at a time: the knots' trade
+    probabilities come from the envelope's columns and the stationary
     prices take one ``cdf_many`` call, so every element is bit-identical to
     the value-by-value fold.
     """
@@ -199,49 +210,47 @@ def buyer_best_response_many(
         top = envelope._starts_guide.search(vs, "right")
     window = (top - 1, top, top + 1)  # columns of the entries i - 2 .. i, entry i - 1 on top
     segments = len(price) > 1  # an entry offers two knots only when it is a segment
-    if segments:  # trade probabilities of the stationary prices inside [lo, hi], in one call
-        inside = [(lo[col] <= vs) & (vs <= hi[col]) for col in window]
-        xs = seller.cdf_many(np.concatenate([0.5 * (vs[m] - r[col][m]) for col, m in zip(window, inside)]))
-        stationary_x = np.split(xs, np.cumsum([np.count_nonzero(m) for m in inside[:-1]]))
+    # a candidate not offered at v, a knot above it or a stationary price outside [lo, hi],
+    # gets a NaN utility, which loses every comparison
+    if segments:  # the stationary prices' trade probabilities in one call, NaN outside [lo, hi]
+        inside = np.array([(lo[col] <= vs) & (vs <= hi[col]) for col in window])
+        stationary_x = np.full(inside.shape, np.nan)
+        stationary_x[inside] = seller.cdf_many(np.concatenate([0.5 * (vs[m] - r[col][m]) for col, m in zip(window, inside)]))
 
-    best_p, best_u, best_x = vs.copy(), np.full_like(vs, -np.inf), np.zeros_like(vs)
-
-    def fold(p, x, u):
-        # a NaN utility marks a candidate not offered at v, and loses every comparison
-        better = (u > best_u) | ((u == best_u) & ((x > best_x) | ((x == best_x) & (p < best_p))))
-        np.copyto(best_p, p, where=better)
-        np.copyto(best_u, u, where=better)
-        np.copyto(best_x, x, where=better)
-
+    best_p, best_u, best_x = vs.copy(), np.zeros_like(vs), np.zeros_like(vs)  # quote v, keep 0
     for j, col in enumerate(window):
-        for k in range(len(price)):
-            p, x = price[k][col], trade[k][col]
-            u = (vs - p) * x
-            u[p > vs] = np.nan
-            fold(p, x, u)
+        offers = [(ps[col], xs[col]) for ps, xs in zip(price, trade)]
         if segments:
-            p, x = 0.5 * (vs - r[col]), np.full_like(vs, np.nan)
-            x[inside[j]] = stationary_x[j]
-            fold(p, x, (vs - p) * x)
-    # no offer can trade (v below the seller's support): quote v, keep 0
-    return best_p, np.where(best_u == -np.inf, 0.0, best_u), best_x
+            offers.append((0.5 * (vs - r[col]), stationary_x[j]))
+        for k, (p, x) in enumerate(offers):
+            u = (vs - p) * x
+            if k < len(price):  # a knot
+                u[p > vs] = np.nan
+            better = _better(u, x, p, best_u, best_x, best_p)
+            for best, new in ((best_p, p), (best_u, u), (best_x, x)):
+                np.copyto(best, new, where=better)
+    return best_p, best_u, best_x
 
 
 def _best_response_at(v: float, seller: Distribution) -> tuple[float, float, float]:
-    """The fold of :func:`buyer_best_response_many` at one finite value, over ``max`` of the keys."""
+    """The fold of :func:`buyer_best_response_many` at one finite value, over the same three columns."""
     env = seller.buyer_envelope
-    i = bisect.bisect_right(env.starts, v)  # entry i - 1 is on top
-    keys = []  # (utility, trade probability, -price) per candidate
-    for fixed, lo, hi, r in env.entries[max(i - 2, 0) : i + 1]:
-        keys += [((v - p) * x, x, -p) for p, x in fixed if p <= v]
-        if lo <= v <= hi:
-            p = 0.5 * (v - r)
-            x = seller.cdf(p)
-            keys.append(((v - p) * x, x, -p))
-    if not keys:
-        return v, 0.0, 0.0
-    u, x, neg_p = max(keys)
-    return -neg_p, u, x
+    top = bisect.bisect_right(env.starts, v)  # column top holds the entry on top
+    slots, lo, hi = tuple(zip(env.price, env.trade)), env.lo, env.hi
+    offers = []
+    for col in (top - 1, top, top + 1):
+        for prices, trades in slots:
+            if prices[col] <= v:
+                offers.append((prices[col], trades[col]))
+        if lo[col] <= v <= hi[col]:
+            p = 0.5 * (v - env.r[col])
+            offers.append((p, seller.cdf(p)))
+    best_p, best_u, best_x = v, 0.0, 0.0  # quote v, keep 0
+    for p, x in offers:
+        u = (v - p) * x
+        if _better(u, x, p, best_u, best_x, best_p):
+            best_p, best_u, best_x = p, u, x
+    return best_p, best_u, best_x
 
 
 def buyer_best_response(v: float, seller: Distribution) -> BestResponse:
@@ -254,8 +263,9 @@ def seller_best_response(c: float, buyer: Distribution) -> BestResponse:
     """Price maximizing ``(p - c) * Pr[value >= p]`` for a seller of cost ``c``.
 
     Solved as a buyer of value ``-c`` against the negated prior, whose CDF at
-    ``-p`` is the survival at ``p`` (a buyer atom at the price accepts). Ties
-    go to the larger trade probability, then the larger price.
+    ``-p`` is the survival at ``p`` (a buyer atom at the price accepts).
+    :func:`_better` breaks ties on the negated prices, so of two offers
+    equal in utility and trade probability the larger price wins.
     """
     r = buyer_best_response(-_check_value(c, buyer), buyer.negate())
     return BestResponse(price=-r.price, utility=r.utility, trade_prob=r.trade_prob)

@@ -6,6 +6,7 @@ valid at ``v``, each scored with the key ``(utility, trade_prob, -price)``.
 """
 
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -88,11 +89,24 @@ def pwl_seller(seed, skew):
     return PiecewiseLinearDistribution.from_knots(zip(np.linspace(0.0, 1.0, knots).tolist(), vals.tolist()))
 
 
+def flat_runs(seed, knots):
+    """A pwl prior whose values take few levels, so that most of its segments are flat runs."""
+    rng = np.random.default_rng([seed, 14])
+    vals = np.sort(rng.integers(0, knots // 4, knots)) / 4
+    return PiecewiseLinearDistribution.from_knots(zip(np.linspace(0.0, 1.0, knots).tolist(), vals.tolist()))
+
+
+#: Two segments whose stationary prices' validity ranges nest: [0, 2] holds [1.1, 1.3].
+NESTED_RANGES = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.5, 1.0), (1.0, 1.1)])
+
+
 SELLERS = (
     [pytest.param(discrete_seller(seed), id=f"discrete-{seed}") for seed in range(16)]
     + [pytest.param(pwl_seller(seed, False), id=f"pwl-{seed}") for seed in range(16)]
     + [pytest.param(pwl_seller(seed, True), id=f"pwl-cubed-{seed}") for seed in range(16)]
     + [pytest.param(canonical_uniform_instance(atoms).buyer, id=f"canonical-{atoms}") for atoms in (1, 2, 3, 8, 64, 256)]
+    + [pytest.param(NESTED_RANGES, id="nested-ranges"), pytest.param(flat_runs(0, 48), id="flat-runs-48")]
+    + [pytest.param(random_pwl(np.random.default_rng(128), 128), id="pwl-128")]
 )
 
 
@@ -357,7 +371,21 @@ def reference_envelope(dist):
         if w < inf:
             stack.append(i)
             starts.append(w)
-    return BuyerEnvelope(starts=tuple(starts), entries=tuple(entries[i] for i in stack))
+    return reference_columns(tuple(starts), [entries[i] for i in stack])
+
+
+def reference_columns(starts, entries):
+    """The envelope of these ``(fixed, lo, hi, r)`` entries, laid out as first written: a row per entry, transposed."""
+    inf = math.inf
+    slots = max(len(fixed) for fixed, *_ in entries)
+    pad = (inf, 1.0) * slots
+    rows = [
+        (*(f for knot in fixed for f in knot), *pad[2 * len(fixed) :], lo, hi, r)
+        for fixed, lo, hi, r in entries
+    ]
+    blank = (*pad, inf, inf, 0.0)
+    table = list(zip(blank, *rows, blank))
+    return BuyerEnvelope(starts, tuple(table[0 : 2 * slots : 2]), tuple(table[1 : 2 * slots : 2]), *table[2 * slots :])
 
 
 def _reference_curve_at(c, v):
@@ -421,14 +449,12 @@ def _reference_piece(c, a, b):
 
 
 def hexed(envelope):
-    """``starts`` and every entry field of an envelope, as ``float.hex``."""
-    return (
-        [s.hex() for s in envelope.starts],
-        [
-            ([(p.hex(), x.hex()) for p, x in fixed], lo.hex(), hi.hex(), r.hex())
-            for fixed, lo, hi, r in envelope.entries
-        ],
-    )
+    """Every stored field of an envelope, as nested lists of ``float.hex``."""
+    return [hex_nested(getattr(envelope, f.name)) for f in dataclasses.fields(envelope)]
+
+
+def hex_nested(x):
+    return x.hex() if isinstance(x, float) else [hex_nested(y) for y in x]
 
 
 def hostile_priors():
@@ -479,30 +505,14 @@ def test_envelope_matches_the_reference_sweep_bit_for_bit(prior, negate):
     assert hexed(distributions._buyer_envelope(prior)) == hexed(reference_envelope(prior))
 
 
-def reference_columns(envelope):
-    """``BuyerEnvelope.columns`` as first written: a row per entry, transposed."""
-    inf = math.inf
-    slots = max(len(fixed) for fixed, *_ in envelope.entries)
-    pad = (inf, 1.0) * slots
-    rows = [
-        (*(f for knot in fixed for f in knot), *pad[2 * len(fixed) :], lo, hi, r)
-        for fixed, lo, hi, r in envelope.entries
-    ]
-    blank = (*pad, inf, inf, 0.0)
-    table = np.array(list(zip(blank, *rows, blank)))
-    price, trade = table[0 : 2 * slots : 2], table[1 : 2 * slots : 2]
-    return np.asarray(envelope.starts), price, trade, *table[2 * slots :]
-
-
 @pytest.mark.parametrize("negate", (False, True), ids=("as-is", "negated"))
 @pytest.mark.parametrize("prior", ENVELOPE_PRIORS)
 def test_envelope_columns_match_the_reference_bit_for_bit(prior, negate):
     if negate:
         prior = prior.negate()
+    # each column is its stored field, whose layout the reference sweep's test pins
     columns = prior.buyer_envelope.columns
-    want = reference_columns(prior.buyer_envelope)
-    assert [c.shape for c in columns] == [c.shape for c in want]
-    assert [[x.hex() for x in c.ravel().tolist()] for c in columns] == [[x.hex() for x in c.ravel().tolist()] for c in want]
+    assert [hex_nested(c.tolist()) for c in columns] == hexed(prior.buyer_envelope)
     assert not any(c.flags.writeable for c in columns)
 
 

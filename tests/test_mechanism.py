@@ -411,6 +411,19 @@ def test_role_swap_exchanges_utilities(corpus_small):
         assert eq_swapped.gft == pytest.approx(eq.gft, rel=1e-12, abs=1e-12)
 
 
+def test_negating_twice_gives_back_the_prior():
+    # a discrete negation's cum holds the complements of the original's, and
+    # re-negating took complements again: {0.1, 0.2, 0.7} came back with cum
+    # (0.09999999999999998, 0.30000000000000004, 1.0), 1 ulp off the first
+    thirds = DiscreteDistribution.from_atoms([(0.1, 0.1), (0.2, 0.2), (0.7, 0.7)])
+    for prior in (thirds, random_pwl(np.random.default_rng(5), 6)):
+        assert prior.negate().negate() is prior
+    instance = TradeInstance(buyer=thirds, seller=random_discrete(np.random.default_rng(7), 64))
+    twice = role_swap(role_swap(instance))
+    assert [x.hex() for x in twice.buyer.cum + twice.seller.cum] == [x.hex() for x in thirds.cum + instance.seller.cum]
+    assert equilibrium(twice) == equilibrium(instance)
+
+
 # --------------------------------------------------------------------------
 # serialization
 
