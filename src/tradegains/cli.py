@@ -151,9 +151,9 @@ def dumps_indented(payload) -> str:
 
     json's C encoder has no indent, so ``indent=2`` sends ``json.dumps``
     down its pure-Python path. Here the C encoder, given the item separator
-    ``",\\n"`` plus the indent, writes each container that holds no
-    non-empty container in one call, and each run of such items of any
-    other container in one call; Python assembles only the nesting. Where
+    ``",\\n"`` plus the indent, writes each container that holds only
+    scalars in one call, and each item of any other container, and each of
+    its keys, in a call of its own; Python assembles only the nesting. Where
     json has no C encoder, or the nesting is cyclic or too deep, the text
     (or the error) is ``json.dumps``'s own.
     """
@@ -189,31 +189,13 @@ def _indented(obj, depth: int) -> str:
     if not obj:
         return "{}" if is_dict else "[]"
     encode = _flat_encoder(depth + 1)
-
-    def inner(run) -> str:
-        return "".join(encode(run, 0))[1:-1]
-
     if _SCALARS.issuperset(map(type, values)):
-        parts = [inner(obj)]
+        parts = ["".join(encode(obj, 0))[1:-1]]
+    elif is_dict:
+        # json writes each key, as it converts it, in ``{key: null}``, of which the key and ": " are kept
+        parts = ["".join(encode({key: None}, 0))[1:-5] + _indented(value, depth + 1) for key, value in obj.items()]
     else:
-        parts = []
-        items = list(obj.items()) if is_dict else list(obj)
-        start = 0
-        for i, item in enumerate(items):
-            value = item[1] if is_dict else item
-            if not (isinstance(value, (list, tuple, dict)) and value):
-                continue
-            # the flat items before ``value`` and its key, written with a
-            # null in its place, which is then cut off
-            if is_dict:
-                parts.append(inner(dict(items[start:i] + [(item[0], None)]))[:-4])
-            else:
-                parts.append(inner(items[start:i] + [None])[:-4] if start < i else "")
-            parts[-1] += _indented(value, depth + 1)
-            start = i + 1
-        if start < len(items):
-            rest = items[start:]
-            parts.append(inner(dict(rest) if is_dict else rest))
+        parts = [_indented(item, depth + 1) for item in obj]
     pad = "  " * depth
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}{closing}"

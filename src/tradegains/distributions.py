@@ -29,7 +29,7 @@ import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, islice, repeat
-from operator import le, lt, neg, sub, truediv
+from operator import lt, neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -865,12 +865,14 @@ class ValidationReport:
 
 
 # Every prior is built along one path from a list of atoms or knots, each a
-# list or tuple of two or, given its class's two JSON keys, an object. A column
-# check passes the common case -- every entry two floats, in order, no value
-# repeated -- in a few builtin passes over its two columns; anything else
-# takes the entry-by-entry pass, which words each problem, sorts and merges.
-# The checks past those serve both. Each check raises a ValidationError with
-# its problems where it finds them, so each step returns only the columns.
+# list or tuple of two or, given its class's two JSON keys, an object. Knots
+# always take the entry-by-entry pass, which words each problem. For atoms a
+# column check passes the common case -- every entry two floats, values
+# strictly increasing, masses finite and positive -- in a few builtin passes
+# over its two columns; any other atoms take the entry-by-entry pass, which
+# also sorts and merges them. The checks past those serve both. Each check
+# raises a ValidationError with its problems where it finds them, so each
+# step returns only the columns.
 
 
 def _columns(entries: list, keys: tuple[str, str] | None) -> tuple[Sequence, Sequence] | None:
@@ -967,8 +969,8 @@ def _sorted_atoms(atoms: Iterable) -> tuple[list[float], list[float]]:
 
 
 def _normalize_knots(knots: list, keys: tuple[str, str] | None) -> tuple[tuple, tuple]:
-    """``(qs, vals)`` of raw knots, read at ``keys`` as for :func:`_columns`."""
-    qs, vals = _plain_knots(*(_columns(knots, keys) or ((), ()))) or _ordered_knots(_entry_pairs(knots, keys))
+    """``(qs, vals)`` of raw knots, read at ``keys`` as for :func:`_entry_pairs`."""
+    qs, vals = _ordered_knots(_entry_pairs(knots, keys))
     _check_span(vals[0], vals[-1])
     # a finite slope keeps dq / dv, by which stationary_segments divides, above 0 with 50+ bits
     dqs = list(map(sub, islice(qs, 1, None), qs))
@@ -981,28 +983,6 @@ def _normalize_knots(knots: list, keys: tuple[str, str] | None) -> tuple[tuple, 
             if slopes[i - 1] == math.inf
         ])
     return tuple(qs), tuple(vals)
-
-
-def _plain_knots(qs: Sequence, vals: Sequence) -> tuple[list, Sequence] | None:
-    """``(qs, vals)`` with the grid's ends set to 0 and 1 when every knot is two floats and the knots pass the checks of :func:`_ordered_knots`, else None."""
-    if not (
-        len(qs) >= 2
-        and {*map(type, qs), *map(type, vals)} == {float}
-        and abs(qs[0]) <= PROB_TOL  # written so that a NaN fails too
-        and abs(qs[-1] - 1.0) <= PROB_TOL
-        and math.isfinite(vals[0])
-        and math.isfinite(vals[-1])
-    ):
-        return None
-    qs = [0.0, *islice(qs, 1, len(qs) - 1), 1.0]
-    mirrored = list(map(sub, repeat(1.0), qs))
-    if (
-        all(map(lt, qs, islice(qs, 1, None)))
-        and all(map(lt, islice(mirrored, 1, None), mirrored))
-        and all(map(le, vals, islice(vals, 1, None)))  # also refuses a NaN
-    ):
-        return qs, vals
-    return None
 
 
 def _ordered_knots(knots: Iterable) -> tuple[list[float], list[float]]:

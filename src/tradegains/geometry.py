@@ -134,14 +134,12 @@ def seller_scaling_utility(v: float, seller: Distribution, lam: float) -> float:
     """
     lam = _check_lambda(lam)
     v = _check_value(v, seller)
-    x_v = seller.cdf(v)
-    if x_v <= 0.0:
-        return 0.0
-    total_cost = seller.integrate_quantile(0.0, 1.0)
-    if x_v >= 1.0:
+    if seller.cdf(v) >= 1.0:
         # every offer is accepted; quantiles above lambda all quote the top
+        total_cost = seller.integrate_quantile(0.0, 1.0)
         return lam * total_cost + (1.0 - lam) * seller.quantile(1.0) - total_cost
-    return lam * seller.integrate_quantile(0.0, x_v) - seller.integrate_quantile(0.0, lam * x_v)
+    # otherwise the offers past lambda * x(v) are refused, so the utility is u_S_geom itself
+    return float(_quantile_fields(np.asarray([v]), seller, lam)[4][0])
 
 
 def key_lemma_margin(v: float, seller: Distribution, q: float) -> float:

@@ -1,4 +1,4 @@
-"""Exact equilibrium of a discrete x discrete instance, from the mechanism's definitions alone.
+"""Exact equilibrium and bound means of a discrete x discrete instance, from the definitions alone.
 
 It reads each prior's stored ``values``, ``probs`` and ``cum`` tables and
 takes every float in them as the exact rational it stores
@@ -15,6 +15,13 @@ A proposer type is near-tied when its two best utilities differ, but by at
 most ``NEAR`` of the larger. There float rounding, not the tie rule, decides
 the library's choice, so such types are counted beside the fields. An exact
 tie is decided by the rule.
+
+The means of the fixed-v wedge ``area_A`` and of ``u_S_geom`` over the buyer
+prior take the scaling parameter as the exact rational of its float. They
+integrate the seller's left-continuous quantile, which is the cost of atom
+``j`` on the quantiles ``(cum[j - 1], cum[j]]``, atom by atom, up to ``x(v)``,
+the ``cum`` entry of the last atom at or below ``v``. No best response enters
+them.
 """
 
 from fractions import Fraction
@@ -58,3 +65,22 @@ def equilibrium(instance):
     fb = sum(Fraction(w) * sum(m * (v - c) for c, m in zip(costs, steps_up) if c <= v) for v, w in zip(values, buyer.probs))
     fields = {"u_buyer": u_b, "u_seller": u_s, "gft_buyer_proposes": gft_b, "gft_seller_proposes": gft_s}
     return {**fields, "gft": (gft_b + gft_s) / 2, "fb": fb}, (near_b, near_s)
+
+
+def _integrate_quantile(costs, cum, t):
+    """The exact integral of the seller's quantile over ``[0, t]``, atom by atom."""
+    return sum(c * (min(hi, t) - lo) for c, lo, hi in zip(costs, [0, *cum], cum) if lo < t)
+
+
+def bound_means(instance, lam):
+    """``verify_bounds``' ``mean_area_A`` and ``mean_u_S_geom`` at the float ``lam``, as ``Fraction``s."""
+    buyer, seller = instance.buyer, instance.seller
+    lam = Fraction(lam)
+    costs, cum = [Fraction(c) for c in seller.values], [Fraction(x) for x in seller.cum]
+    area_a = u_s_geom = Fraction(0)
+    for v, w in zip(map(Fraction, buyer.values), map(Fraction, buyer.probs)):
+        x_v = next((x for c, x in zip(reversed(costs), reversed(cum)) if c <= v), Fraction(0))
+        cost_x, cost_lx = _integrate_quantile(costs, cum, x_v), _integrate_quantile(costs, cum, lam * x_v)
+        area_a += w * (v * (x_v - lam * x_v) - (cost_x - cost_lx))
+        u_s_geom += w * (lam * cost_x - cost_lx)
+    return {"mean_area_A": area_a, "mean_u_S_geom": u_s_geom}

@@ -29,7 +29,7 @@ from tradegains import (
 
 from tradegains.distributions import _Guide
 
-from conftest import NON_NUMBER_SUGAR, random_discrete
+from conftest import NON_NUMBER_SUGAR, budget, random_discrete
 
 COIN = DiscreteDistribution.from_atoms([(0.0, 0.5), (1.0, 0.5)])
 STEP_PWL = PiecewiseLinearDistribution.from_knots([(0.0, 0.0), (0.5, 0.5), (1.0, 0.5)])
@@ -1113,6 +1113,16 @@ def test_a_prior_spanning_most_of_the_float_range_is_kept():
 @settings(max_examples=100, deadline=None)
 def test_json_round_trip(d):
     assert distribution_from_json(json.loads(json.dumps(d.to_json()))) == d
+
+
+def test_many_knots_given_as_json_objects_load_in_linear_time():
+    # every knot takes the entry-by-entry pass, so 12,801 of them must load well within a second
+    rng = np.random.default_rng([2026, 27])
+    pairs = list(zip(np.linspace(0.0, 1.0, 12_801).tolist(), np.sort(rng.uniform(0.0, 1.0, 12_801)).tolist()))
+    obj = {"kind": "pwl", "knots": [{"q": q, "value": v} for q, v in pairs]}
+    with budget(1):
+        loaded = distribution_from_json(obj)
+    assert loaded == PiecewiseLinearDistribution.from_knots(pairs)
 
 
 # --------------------------------------------------------------------------

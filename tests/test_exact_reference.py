@@ -1,4 +1,4 @@
-"""Discrete x discrete equilibria against the exact reference of ``exact_reference.py``.
+"""Discrete x discrete equilibria and ``verify`` means against the exact reference of ``exact_reference.py``.
 
 Every field must lie within ``1e-12 * max(|x|, fb)`` of the exact value
 ``x``: a bound that scales with the instance. A gft field that a near-tied
@@ -12,7 +12,7 @@ import pytest
 
 import exact_reference
 from conftest import budget, random_discrete
-from tradegains import DiscreteDistribution, TradeInstance, canonical_uniform_instance, equilibrium
+from tradegains import DiscreteDistribution, TradeInstance, canonical_uniform_instance, equilibrium, verify_bounds
 from tradegains.distributions import point
 
 BOUND = Fraction(1e-12)
@@ -48,3 +48,21 @@ def test_equilibrium_matches_the_exact_reference(instance):
             assert abs(Fraction(getattr(got, name)) - x) <= BOUND * max(abs(x), want["fb"]), name
     if unsettled:
         pytest.skip(f"{near_buyers} buyer and {near_sellers} seller types near-tied: {sorted(unsettled)} not compared")
+
+
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_verify_means_match_the_exact_reference(instance):
+    # no best response enters these fields, so no near-tie leaves one uncompared
+    with budget(5):
+        fb = exact_reference.equilibrium(instance)[0]["fb"]
+        for lam in (0.31784, 0.5):
+            got = verify_bounds(instance, lam)
+            want = exact_reference.bound_means(instance, lam)
+            # exactly 0, as u_S_geom + area_A = (1 - lambda) * fb_v at every v
+            identity = want["mean_u_S_geom"] + want["mean_area_A"] - (1 - Fraction(lam)) * fb
+            for name, value, x in [
+                ("mean_area_A", got.mean_area_A, want["mean_area_A"]),
+                ("mean_u_S_geom", got.mean_u_S_geom, want["mean_u_S_geom"]),
+                ("identity", got.slacks["identity"], identity),
+            ]:
+                assert abs(Fraction(value) - x) <= BOUND * max(abs(x), fb), (lam, name)

@@ -1,10 +1,12 @@
 """Known defects, each pinned by the answer it should give: strict xfails that flip when their ROADMAP item is mended."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from tradegains import DiscreteDistribution, TradeInstance, equilibrium, point, uniform
+from tradegains import DiscreteDistribution, TradeInstance, buyer_best_response, equilibrium, point, uniform
 
 
 def discrete(atoms, shift=0.0):
@@ -17,6 +19,28 @@ def test_a_near_tie_goes_to_the_larger_trade_probability():
     seller = discrete([(0.19, 0.7586206896551724), (0.33, 0.24137931034482762)])
     eq = equilibrium(TradeInstance(buyer=point(0.77), seller=seller))
     assert eq.gft_buyer_proposes == pytest.approx(0.5462068965517242, rel=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 2: rounding, not the tie rule, decides generated near-ties; 901 other draws post b where "
+        "exact arithmetic prefers a, and the recommended rule keeps those as they are"
+    ),
+)
+def test_no_generated_near_tie_posts_the_lower_trade_price_against_a_better_one():
+    # buyer point(v) against seller {a: m, b: 1 - m}, a < b < v distinct in 0.01 .. 0.99: posting a or b
+    # earns v - b in decimal. None may post a while the exact utility at b, on the stored cum, is larger.
+    rng = np.random.default_rng([2026, 27])
+    wrong = []
+    for _ in range(2000):
+        a, b, v = (np.sort(rng.choice(np.arange(1, 100), 3, replace=False)) / 100).tolist()
+        m = (v - b) / (v - a)
+        seller = DiscreteDistribution.from_atoms([(a, m), (b, 1 - m)])
+        u_a, u_b = ((Fraction(v) - Fraction(p)) * Fraction(x) for p, x in zip(seller.values, seller.cum))
+        if buyer_best_response(v, seller).price == a and u_b > u_a:
+            wrong.append((a, b, v))
+    assert wrong == []
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: values far from 0 lose the surplus integrals")
